@@ -1,24 +1,9 @@
 """Numerical configuration constants.
 
-Grid resolutions and tolerances used across the package. These are
+Tolerances and truncations used across the package. These are
 deliberate engineering choices, collected here so no module hard-codes
 magic numbers.
 """
-
-# Inverse-CDF sampler: resolution of the tabulated CDF grid.
-CDF_GRID_POINTS = 2 ** 14
-
-# Density values above this negative floor are treated as floating-point
-# noise at the boundary of the l1 positivity certificate and clamped to 0
-# before CDF integration; anything more negative is an error.
-NEGATIVE_DENSITY_TOL = 1e-9
-
-# Grid used by the diagnostic (non-certifying) pointwise positivity check.
-POSITIVITY_GRID_POINTS = 4096
-
-# Magnitude budget for the imaginary part left over when evaluating a
-# Hermitian-symmetric series at a real point.
-IMAG_PART_TOL = 1e-10
 
 # Slack used when asserting the lower-bound construction inequalities.
 CONDITION_SLACK = 1e-10

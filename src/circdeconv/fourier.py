@@ -130,10 +130,6 @@ class FourierDensity:
         spec[: self.max_freq + 1] = self.coeffs
         return np.fft.irfft(spec, n_points) * n_points
 
-    def grid_positivity_check(self, n_points: int = config.POSITIVITY_GRID_POINTS) -> bool:
-        """Diagnostic pointwise check on a grid; not a certificate."""
-        return bool(np.min(self.evaluate_grid(n_points)) >= -config.NEGATIVE_DENSITY_TOL)
-
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:

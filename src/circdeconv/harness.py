@@ -16,7 +16,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,10 @@ class ExperimentConfig:
     a_ladder: tuple = ()
 
     def __post_init__(self):
+        if self.smoothness not in ("ordinary", "super"):
+            raise ValueError(f"smoothness must be 'ordinary' or 'super', got {self.smoothness!r}")
+        if self.illposedness not in ("mild", "severe"):
+            raise ValueError(f"illposedness must be 'mild' or 'severe', got {self.illposedness!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if any(n < 2 for n in self.n_grid):
@@ -101,6 +105,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**d)
 
     def identity_dict(self) -> dict:
@@ -178,9 +185,7 @@ def _fixed_density_sampler(g: FourierDensity):
     """Sampler drawing every replication from the same observation density."""
 
     def sampler(gen, size, n):
-        row = g.coeffs[1:][np.newaxis, :]
-        u_rows = sample_batch(np.repeat(row, 1, axis=0), size * n, gen)
-        return u_rows.reshape(size, n)
+        return sample_batch(g.coeffs[np.newaxis, 1:], size * n, gen).reshape(size, n)
 
     return sampler
 

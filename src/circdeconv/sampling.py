@@ -1,9 +1,14 @@
 """Sampling from coefficient-specified circular densities.
 
-Draws are produced by inverse-CDF sampling: the CDF is tabulated on a
-uniform grid by trapezoid integration of the evaluated density and
-inverted by interpolation. This works for any certified density without
-named-distribution code, and the grid error is quantifiable.
+Every sampled density carries the l1 certificate L = 2 sum_j |f_j| <= 1,
+which is exactly the condition for writing it as a mixture
+
+    f = (1 - L) * Uniform + sum_j 2 |f_j| * (1 + cos(2 pi j x + arg f_j)),
+
+so it is sampled exactly by composition (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. II.4): pick a component, then draw from it
+in closed form. Draws carry no grid or interpolation error, and each
+costs O(1) work beyond one vectorized comparison per component.
 
 Reproducibility contract: a sample is fully determined by the density,
 the sample size and the seed. Parallel work derives independent child
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
-from .errors import CertificationError, InvalidDensityError
+from .errors import CertificationError
 from .fourier import FourierDensity, NoiseModel, convolve
 
 __all__ = [
@@ -48,6 +52,8 @@ class CircularSample:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("sample values must be a 1-d array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sample values must be finite")
         if v.size and (v.min() < 0.0 or v.max() >= 1.0):
             raise ValueError("sample values must lie in [0, 1)")
         v = v.copy()
@@ -86,85 +92,77 @@ def wrap_add(x, e):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def _cdf_table(f: FourierDensity, grid_points: int):
-    """Tabulate the CDF on a uniform grid by trapezoid integration.
+def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:
+    """size draws from the density 1 - cos(2 pi z) = 2 sin^2(pi z) on [0, 1].
 
-    Values within the configured negative floor are clamped to zero
-    (floating noise at the certification boundary); anything more negative
-    means the density was invalid despite its certificate.
+    If T is the abscissa of a uniform point in the unit disk (the
+    semicircle law), arccos(T) / pi has exactly this density.
     """
-    xs = np.arange(grid_points + 1) / grid_points
-    dens = np.empty(grid_points + 1)
-    dens[:grid_points] = f.evaluate_grid(grid_points)
-    dens[grid_points] = dens[0]  # periodic closure at x = 1
-    low = dens.min()
-    if low < -config.NEGATIVE_DENSITY_TOL:
-        raise InvalidDensityError(f"density dips to {low:.3e} despite certificate")
-    np.clip(dens, 0.0, None, out=dens)
-    cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) / (2 * grid_points))))
-    cdf /= cdf[-1]
-    return xs, cdf
+    t = gen.random(size)
+    np.sqrt(t, out=t)
+    c = gen.random(size)
+    c *= np.pi
+    t *= np.cos(c, out=c)
+    z = np.arccos(t, out=t)
+    z /= np.pi
+    return z
 
 
-def sample_density(
-    f: FourierDensity,
-    n: int,
-    rng,
-    grid_points: int = config.CDF_GRID_POINTS,
-) -> np.ndarray:
+def sample_density(f: FourierDensity, n: int, rng) -> np.ndarray:
     """Draw n i.i.d. points from a certified-nonnegative density.
 
     Returns a bare array; wrap in CircularSample at the call site where
     provenance is known.
     """
-    if not f.certified_nonnegative:
-        raise CertificationError(
-            "density lacks the l1 nonnegativity certificate; refusing to sample"
-        )
     if n < 1:
         raise ValueError("need n >= 1")
     gen = rng.generator() if isinstance(rng, Rng) else rng
-    u = gen.random(n)
-    xs, cdf = _cdf_table(f, grid_points)
-    vals = np.interp(u, cdf, xs)
-    # inversion can land exactly on 1.0 for u == 1 - eps; fold back
-    vals[vals >= 1.0] -= 1.0
-    return vals
+    return sample_batch(f.coeffs[np.newaxis, 1:], n, gen)[0]
 
 
-def sample_batch(
-    coeff_rows: np.ndarray,
-    n: int,
-    gen: np.random.Generator,
-    grid_points: int = config.CDF_GRID_POINTS,
-) -> np.ndarray:
+def sample_batch(coeff_rows: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
     """Vectorized sampler: one row of tail coefficients per replication.
 
     coeff_rows has shape (B, K) holding f_1..f_K for each replication;
     every row must satisfy the l1 certificate. Returns shape (B, n).
+
+    Each draw compares a first uniform against its row's cumulative
+    weights 2|f_j| to pick a mixture component. Draws of the uniform part
+    are a second uniform; those of component j are overwritten by
+    x = (Z + m + c_j) / j mod 1, with Z ~ 1 - cos(2 pi z) = 1 + cos(2 pi
+    (z - 1/2)), m uniform on {0..j-1} and c_j = (-1/2 - arg f_j / 2 pi)
+    mod 1. Then j x + arg f_j / 2 pi equals Z - 1/2 up to an integer, so x
+    has density 1 + cos(2 pi j x + arg f_j). All terms are nonnegative, so
+    the fractional part is exact and lies in [0, 1).
     """
     rows = np.asarray(coeff_rows, dtype=complex)
     if rows.ndim != 2:
         raise ValueError("coeff_rows must be 2-d")
-    if np.any(2.0 * np.sum(np.abs(rows), axis=1) > 1.0 + 1e-12):
-        raise CertificationError("a replication row fails the l1 certificate")
-    b, k = rows.shape
-    xs = np.arange(grid_points + 1) / grid_points
-    j = np.arange(1, k + 1)
-    phases = np.exp(2j * np.pi * np.outer(j, xs[:-1]))  # (K, G)
-    dens = 1.0 + 2.0 * np.real(rows @ phases)  # (B, G)
-    dens = np.concatenate([dens, dens[:, :1]], axis=1)
-    np.clip(dens, 0.0, None, out=dens)
-    cdf = np.concatenate(
-        [np.zeros((b, 1)), np.cumsum((dens[:, 1:] + dens[:, :-1]) / (2 * grid_points), axis=1)],
-        axis=1,
-    )
-    cdf /= cdf[:, -1:]
-    u = gen.random((b, n))
-    out = np.empty((b, n))
-    for i in range(b):
-        out[i] = np.interp(u[i], cdf[i], xs)
-    out[out >= 1.0] -= 1.0
+    weights = 2.0 * np.abs(rows)
+    if not np.all(np.sum(weights, axis=1) <= 1.0 + 1e-12):  # NaN fails too
+        raise CertificationError(
+            "coefficients fail the l1 nonnegativity certificate; refusing to sample"
+        )
+    b = rows.shape[0]
+    upper = np.cumsum(weights, axis=1)
+    shift = np.mod(-0.5 - np.angle(rows) / (2.0 * np.pi), 1.0)
+    row_starts = np.arange(b + 1) * n
+    pick = gen.random((b, n))
+    out = gen.random((b, n))
+    flat = out.reshape(-1)
+    for col in np.flatnonzero(np.any(weights > 0.0, axis=0)):
+        freq = col + 1
+        chosen = pick < upper[:, col, np.newaxis]
+        if col:
+            chosen &= pick >= upper[:, col - 1, np.newaxis]
+        idx = np.flatnonzero(chosen)
+        per_row = np.diff(np.searchsorted(idx, row_starts))
+        x = _sine_squared(gen, idx.size)
+        x += gen.integers(0, freq, idx.size)
+        x += np.repeat(shift[:, col], per_row)
+        x /= freq
+        x -= np.floor(x)
+        flat[idx] = x
     return out
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circdeconv
 from circdeconv.errors import IngestError
 from circdeconv.harness import (
     ExperimentConfig,
@@ -37,6 +40,19 @@ class TestExperimentConfig:
             ExperimentConfig(alpha=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(k_rule="0")
+
+    def test_rejects_unknown_regime(self):
+        with pytest.raises(ValueError, match="smoothness"):
+            ExperimentConfig(smoothness="supersmooth")
+        with pytest.raises(ValueError, match="illposedness"):
+            ExperimentConfig(illposedness="Mild")
+
+    def test_unknown_json_keys_named(self):
+        d = ExperimentConfig().to_json_dict()
+        d["replicatons"] = 10
+        d["thread"] = 2
+        with pytest.raises(ValueError, match="replicatons, thread"):
+            ExperimentConfig.from_json_dict(d)
 
     def test_hash_sensitive_to_content(self):
         a = ExperimentConfig(seed=1)
@@ -191,11 +207,16 @@ class TestReports:
 
 class TestCli:
     def _run(self, *args, cwd=None):
+        # the child finds the package where this process imported it from,
+        # so the tests need no install
+        pkg_root = str(Path(circdeconv.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "circdeconv.cli", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_estimate_and_test_commands(self, tmp_path):
@@ -230,6 +251,16 @@ class TestCli:
         assert res.returncode == 0
         report = load_report(out)
         assert report.kind == "risk"
+
+    @pytest.mark.parametrize(
+        "bad", [{"replicatons": 50}, {"smoothness": "super-smooth"}, {"illposedness": "sever"}]
+    )
+    def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [64], "seed": 1, **bad}))
+        res = self._run("simulate-risk", "--config", str(cfg))
+        assert res.returncode == 2
+        assert next(iter(bad)) in res.stderr
 
     def test_lower_bound_command(self):
         res = self._run("lower-bound", "--n", "500")

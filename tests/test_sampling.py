@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from circdeconv.errors import CertificationError, InvalidDensityError
+from circdeconv.errors import CertificationError
 from circdeconv.fourier import FourierDensity, NoiseModel
 from circdeconv.sampling import (
     CircularSample,
@@ -49,6 +51,11 @@ class TestCircularSample:
         with pytest.raises(ValueError):
             CircularSample(np.array([-0.1]), seed=0)
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CircularSample(np.array([0.5, bad]), seed=0)
+
     def test_values_frozen(self):
         s = CircularSample(np.array([0.1, 0.2]), seed=0)
         with pytest.raises(ValueError):
@@ -86,21 +93,45 @@ class TestSampleDensity:
         f = FourierDensity.from_tail([0.2])
         assert np.array_equal(sample_density(f, 50, Rng(9)), sample_density(f, 50, Rng(9)))
 
-    def test_invalid_despite_certificate_detected(self):
-        # bypass the certificate with a hand-built marginally negative case:
-        # certified but numerically dipping below the clamp tolerance is
-        # impossible, so check the error path via a direct internal call
-        from circdeconv.sampling import _cdf_table
+    def test_negative_density_refused_by_both_entry_points(self):
+        bad = FourierDensity.from_tail([0.6])  # 1 + 1.2 cos(2 pi x) dips to -0.2
+        with pytest.raises(CertificationError):
+            sample_density(bad, 10, Rng(0))
+        with pytest.raises(CertificationError):
+            sample_batch(bad.coeffs[np.newaxis, 1:], 10, Rng(0).generator())
 
-        bad = FourierDensity.from_tail([0.6])  # dips to -0.2
-        with pytest.raises(InvalidDensityError):
-            _cdf_table(bad, 1024)
+    def test_multifrequency_ks_against_exact_cdf(self):
+        # f(x) = 1 + 2 sum_j |f_j| cos(2 pi j x + phi_j) has CDF
+        # x + sum_j (|f_j| / (pi j)) (sin(2 pi j x + phi_j) - sin(phi_j))
+        tail = np.array([0.15 * np.exp(0.7j), 0.1 * np.exp(-2.1j), 0.0, 0.12j])
+        j = np.arange(1, tail.size + 1)
+        mod, phase = np.abs(tail), np.angle(tail)
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)[:, np.newaxis]
+            terms = mod / (np.pi * j) * (np.sin(2 * np.pi * j * x + phase) - np.sin(phase))
+            return x[:, 0] + terms.sum(axis=1)
+
+        vals = sample_density(FourierDensity.from_tail(tail), 4000, Rng(10))
+        assert stats.kstest(vals, cdf).pvalue > 1e-3
+
+    def test_saturated_certificate(self):
+        # L = 2 |f_1| = 1: the uniform part has weight zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                vals = sample_density(FourierDensity.from_tail([0.5]), 20_000, Rng(11))
+        assert np.all(np.isfinite(vals))
+        assert vals.min() >= 0.0 and vals.max() < 1.0
+        assert np.mean(np.cos(2 * np.pi * vals)) == pytest.approx(0.5, abs=0.02)
 
 
 class TestSampleBatch:
     def test_rows_certified(self):
         with pytest.raises(CertificationError):
             sample_batch(np.array([[0.7]]), 5, Rng(0).generator())
+        with pytest.raises(CertificationError):
+            sample_batch(np.array([[0.1, np.nan]]), 5, Rng(0).generator())
 
     def test_batch_matches_marginal_statistics(self):
         rows = np.tile([0.3], (64, 1))
@@ -108,6 +139,17 @@ class TestSampleBatch:
         assert y.shape == (64, 100)
         emp = np.mean(np.cos(2 * np.pi * y))
         assert emp == pytest.approx(0.3, abs=0.02)
+
+    def test_sign_flipped_rows_match_own_coefficients(self):
+        # hypercube-style rows: equal moduli, signs and phases differ per row
+        base = np.array([0.2, 0.1j, 0.05 * np.exp(1j)])
+        signs = np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]])
+        rows = signs * base
+        y = sample_batch(rows, 50_000, Rng(13).generator())
+        j = np.arange(1, base.size + 1)
+        emp = np.exp(-2j * np.pi * y[:, :, np.newaxis] * j).mean(axis=1)
+        # each error e has E|e|^2 < 1 / n, so P(|e| > 0.015) ~ exp(-0.015^2 n) ~ 1e-5
+        assert np.max(np.abs(emp - rows)) < 0.015
 
 
 class TestSampleModel:
@@ -145,6 +187,22 @@ class TestPersistence:
         loaded = load_binary(path)
         assert np.array_equal(loaded.values, s.values)
         assert loaded.seed == 8
+
+    def test_csv_with_nan_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.25\nnan\n0.5\n")
+        with pytest.raises(ValueError):
+            load_csv(path)
+
+    def test_binary_with_nan_rejected(self, tmp_path):
+        s = CircularSample(np.array([0.25, 0.5]), seed=8)
+        path = tmp_path / "nan.bin"
+        save_binary(s, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            load_binary(path)
 
     def test_binary_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
