@@ -20,16 +20,11 @@ from .errors import (
 )
 from .estimation import (
     EmpiricalCoeffs,
-    RiskBoundBreakdown,
     empirical_coeffs,
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
-    estimate_q_clamped,
-    optimal_dim_est,
-    risk_upper_bound,
     u_statistic_form,
-    unbiased_sq_modulus,
 )
 from .fourier import (
     FourierDensity,
@@ -58,21 +53,25 @@ from .lowerbounds import (
     chi2_mixture_bound,
     cube_product_identity,
     exact_mixture_chi2,
-    find_eta,
     hellinger_reduction_bound,
-    mc_chi2_estimate,
-    optimal_two_point_freq,
     testing_to_estimation_lb,
 )
 from .rates import (
     OrderDescriptor,
     RateReport,
     RegimeSpec,
+    RiskBoundBreakdown,
     ScanRow,
     base_term,
+    find_eta,
     fit_log_rate,
     fit_rate,
+    nu_k_sq,
     numeric_rate_scan,
+    optimal_dim_est,
+    optimal_two_point_freq,
+    radius_upper,
+    risk_upper_bound,
     theoretical_estimation_rate,
     theoretical_testing_radius,
 )
@@ -94,8 +93,6 @@ from .testing import (
     TestResult,
     calibrate,
     custom_calibration,
-    nu_k_sq,
-    radius_upper,
     run_test,
 )
 

@@ -19,24 +19,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import CircdeconvError, ConditionViolation
-from .estimation import estimate_q, optimal_dim_est
-from .fourier import NoiseModel, SmoothnessClass
+from .estimation import estimate_q
 from .harness import (
     ExperimentConfig,
     emit_report,
     ingest_circular_data,
+    resolve_k,
     run_risk_experiment,
     run_test_experiment,
 )
-from .lowerbounds import build_hypercube, build_two_point, optimal_two_point_freq
+from .lowerbounds import build_hypercube, build_two_point
 from .rates import (
     RegimeSpec,
     fit_rate,
     numeric_rate_scan,
+    optimal_two_point_freq,
     theoretical_estimation_rate,
     theoretical_testing_radius,
 )
@@ -45,37 +47,29 @@ from .testing import calibrate, run_test
 USAGE_ERROR, RUNTIME_ERROR, CHECK_FAILED = 1, 2, 3
 
 
-def _noise_from_args(args) -> NoiseModel:
-    if args.noise == "mild":
-        return NoiseModel.mild(args.p, scale=args.eps_scale, max_freq=args.noise_max_freq)
-    return NoiseModel.severe(args.p, scale=args.eps_scale, max_freq=args.noise_max_freq)
-
-
-def _class_from_args(args) -> SmoothnessClass:
-    if args.smoothness == "ordinary":
-        return SmoothnessClass.ordinary(args.s, radius=args.radius, scale=args.a_scale)
-    return SmoothnessClass.supersmooth(args.s, radius=args.radius, scale=args.a_scale)
-
-
-def _add_model_args(p, with_class=True):
-    p.add_argument("--noise", choices=["mild", "severe"], default="mild")
+def _add_model_args(p):
+    p.add_argument("--noise", dest="illposedness", choices=["mild", "severe"], default="mild")
     p.add_argument("--p", type=float, default=1.0, help="noise ill-posedness degree")
     p.add_argument("--eps-scale", type=float, default=1.0)
     p.add_argument("--noise-max-freq", type=int, default=64)
-    if with_class:
-        p.add_argument("--smoothness", choices=["ordinary", "super"], default="ordinary")
-        p.add_argument("--s", type=float, default=1.0, help="smoothness degree")
-        p.add_argument("--a-scale", type=float, default=1.0)
-        p.add_argument("--radius", type=float, default=1.0, help="ellipsoid radius R")
+    p.add_argument("--smoothness", choices=["ordinary", "super"], default="ordinary")
+    p.add_argument("--s", type=float, default=1.0, help="smoothness degree")
+    p.add_argument("--a-scale", type=float, default=1.0)
+    p.add_argument("--radius", type=float, default=1.0, help="ellipsoid radius R")
 
 
-def _resolve_k(args, sample_n, eps, cls):
-    if args.k == "auto":
-        return optimal_dim_est(cls, eps, sample_n, 10 ** 5)
-    k = int(args.k)
-    if k < 1:
-        raise ValueError("k must be >= 1 or 'auto'")
-    return k
+def _config_from_args(args) -> ExperimentConfig:
+    """The model flags as an ExperimentConfig, so the CLI builds its
+    smoothness class, noise model and k exactly as the harness does.
+
+    A flag sets the config field named by its dest; --k sets k_rule, with
+    "auto" meaning "kappa_star".
+    """
+    given = {
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if hasattr(args, f.name)
+    }
+    k = getattr(args, "k", "auto")
+    return ExperimentConfig(**given, k_rule="kappa_star" if k == "auto" else k)
 
 
 def _write_out(text: str, out):
@@ -87,10 +81,10 @@ def _write_out(text: str, out):
 
 
 def cmd_estimate(args) -> int:
+    cfg = _config_from_args(args)
     sample = ingest_circular_data(args.data, args.format)
-    eps = _noise_from_args(args)
-    cls = _class_from_args(args)
-    k = _resolve_k(args, sample.n, eps, cls)
+    eps = cfg.noise_model()
+    k = resolve_k(cfg, cfg.smoothness_class(), eps, sample.n)
     result = {
         "n": sample.n,
         "k": k,
@@ -101,11 +95,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_test(args) -> int:
+    cfg = _config_from_args(args)
     sample = ingest_circular_data(args.data, args.format)
-    eps = _noise_from_args(args)
-    cls = _class_from_args(args)
-    k = _resolve_k(args, sample.n, eps, cls)
-    cal = calibrate(args.alpha, eps, cls.radius)
+    cls = cfg.smoothness_class()
+    eps = cfg.noise_model()
+    k = resolve_k(cfg, cls, eps, sample.n)
+    cal = calibrate(cfg.alpha, eps, cls.radius)
     res = run_test(sample, eps, k, cal)
     result = {
         "n": sample.n,
@@ -114,7 +109,7 @@ def cmd_test(args) -> int:
         "threshold": res.threshold,
         "nu_k_sq": res.nu_k_sq,
         "decision": res.decision,
-        "alpha": args.alpha,
+        "alpha": cfg.alpha,
         "C_alpha": cal.C_alpha,
     }
     _write_out(json.dumps(result, indent=2), args.out)
@@ -122,7 +117,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    reg = RegimeSpec(args.smoothness, args.s, args.noise, args.p)
+    reg = RegimeSpec(args.smoothness, args.s, args.illposedness, args.p)
     est = theoretical_estimation_rate(reg)
     tst = theoretical_testing_radius(reg)
     out = {
@@ -138,8 +133,9 @@ def cmd_rates(args) -> int:
         "testing_radius": {"n_exp": tst.rate.n_exp, "log_exp": tst.rate.log_exp},
     }
     if args.scan:
-        cls = _class_from_args(args)
-        eps = _noise_from_args(args)
+        cfg = _config_from_args(args)
+        cls = cfg.smoothness_class()
+        eps = cfg.noise_model()
         ns = [2 ** e for e in range(8, args.scan_max_exp + 1)]
         rows = numeric_rate_scan(cls, eps, ns)
         out["scan"] = [
@@ -182,12 +178,13 @@ def cmd_simulate_test(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    cls = _class_from_args(args)
-    eps = _noise_from_args(args)
-    out = {"n": args.n, "alpha": args.alpha}
+    cfg = _config_from_args(args)
+    cls = cfg.smoothness_class()
+    eps = cfg.noise_model()
+    out = {"n": args.n, "alpha": cfg.alpha}
     ok = True
     try:
-        fam = build_hypercube(cls, eps, args.n, args.alpha)
+        fam = build_hypercube(cls, eps, args.n, cfg.alpha)
         out["hypercube"] = {
             "kappa_star": fam.kappa,
             "zeta": fam.zeta,

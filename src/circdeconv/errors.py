@@ -1,5 +1,16 @@
 """Semantic exception hierarchy for circdeconv."""
 
+__all__ = [
+    "CircdeconvError",
+    "InvalidDensityError",
+    "CertificationError",
+    "DimensionNotFound",
+    "ClassNotSummable",
+    "ConditionViolation",
+    "CalibrationError",
+    "IngestError",
+]
+
 
 class CircdeconvError(Exception):
     """Base class for all circdeconv errors."""

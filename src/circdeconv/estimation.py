@@ -10,7 +10,8 @@ truncates at level k and corrects the plug-in bias of |g_hat_j|^2:
 which is exactly unbiased for the truncated functional
 2 sum_{j<=k} |f_j|^2. It is a U-statistic over ordered pairs of
 observations, which gives an exact variance decomposition and the risk
-bound implemented in risk_upper_bound.
+bound implemented in rates.risk_upper_bound. The single-sample functions
+are one-row calls into the batch kernels.
 """
 
 from __future__ import annotations
@@ -19,20 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import NoiseModel, SmoothnessClass
-from .errors import DimensionNotFound
-from .sampling import CircularSample
+from .fourier import NoiseModel
+from .sampling import as_values
 
 __all__ = [
     "EmpiricalCoeffs",
-    "RiskBoundBreakdown",
     "empirical_coeffs",
-    "unbiased_sq_modulus",
+    "empirical_coeffs_batch",
     "estimate_q",
     "estimate_q_batch",
-    "estimate_q_clamped",
-    "optimal_dim_est",
-    "risk_upper_bound",
+    "u_statistic_form",
 ]
 
 
@@ -61,30 +58,23 @@ class EmpiricalCoeffs:
 
 
 def empirical_coeffs(sample, j_max: int) -> EmpiricalCoeffs:
-    """Compute g_hat_j for j = 0..j_max from a sample on [0, 1).
-
-    Powers of the base phase exp(-2 pi i Y) are accumulated cumulatively,
-    costing O(n * j_max) with no redundant transcendental calls.
-    """
-    values = sample.values if isinstance(sample, CircularSample) else np.asarray(sample)
-    n = values.size
-    if n < 1:
+    """Compute g_hat_j for j = 0..j_max from a sample on [0, 1)."""
+    values = as_values(sample)
+    if values.size < 1:
         raise ValueError("need n >= 1")
     if j_max < 1:
         raise ValueError("need j_max >= 1")
-    base = np.exp(-2j * np.pi * values)
-    out = np.empty(j_max + 1, dtype=complex)
-    out[0] = 1.0
-    power = np.ones(n, dtype=complex)
-    for j in range(1, j_max + 1):
-        power *= base
-        out[j] = power.mean()
-    return EmpiricalCoeffs(n=n, coeffs=out)
+    tail = empirical_coeffs_batch(values[np.newaxis, :], j_max)[0]
+    return EmpiricalCoeffs(n=values.size, coeffs=np.concatenate(([1.0 + 0j], tail)))
 
 
 def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
-    """Vectorized variant: y has shape (B, n); returns (B, j_max) holding
-    g_hat_1..g_hat_j_max per row. Used by the Monte Carlo engine."""
+    """g_hat_1..g_hat_j_max for every row of a (B, n) observation matrix;
+    returns shape (B, j_max).
+
+    Powers of the base phase exp(-2 pi i Y) are accumulated cumulatively,
+    costing O(B n j_max) with no redundant transcendental calls.
+    """
     base = np.exp(-2j * np.pi * y)
     b, n = y.shape
     out = np.empty((b, j_max), dtype=complex)
@@ -96,32 +86,12 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     return out
 
 
-def unbiased_sq_modulus(g_hat_j: complex, n: int) -> float:
-    """Bias-corrected squared modulus: |g_hat_j|^2 - (1 - |g_hat_j|^2)/(n-1).
-
-    Unbiased for |g_j|^2; may be negative and is deliberately not clamped.
-    """
-    if n < 2:
-        raise ValueError("bias correction needs n >= 2")
-    m2 = abs(g_hat_j) ** 2
-    return m2 - (1.0 - m2) / (n - 1)
-
-
 def estimate_q(sample, eps: NoiseModel, k: int) -> float:
-    """The truncated-functional estimator q_hat_k.
+    """The truncated-functional estimator q_hat_k of one sample.
 
     Unbiased for 2 sum_{j=1}^{k} |f_j|^2 under Y ~ f (*) eps.
     """
-    if k < 1:
-        raise ValueError("truncation level k must be >= 1")
-    emp = empirical_coeffs(sample, k)
-    if emp.n < 2:
-        raise ValueError("estimator needs n >= 2")
-    n = emp.n
-    m2 = np.abs(emp.coeffs[1:]) ** 2
-    corrected = m2 - (1.0 - m2) / (n - 1)
-    w = eps.modulus(np.arange(1, k + 1)) ** 2
-    return 2.0 * float(np.sum(corrected / w))
+    return float(estimate_q_batch(as_values(sample)[np.newaxis, :], eps, k)[0])
 
 
 def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
@@ -137,16 +107,6 @@ def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
     return 2.0 * corrected @ (1.0 / w)
 
 
-def estimate_q_clamped(sample, eps: NoiseModel, k: int) -> float:
-    """Convenience accessor max(q_hat_k, 0).
-
-    The clamp destroys unbiasedness, so everything theory-facing uses
-    estimate_q; this exists only for reporting a point estimate of a
-    nonnegative quantity.
-    """
-    return max(estimate_q(sample, eps, k), 0.0)
-
-
 def u_statistic_form(sample, eps: NoiseModel, k: int) -> float:
     """The same estimator written as an explicit U-statistic over pairs:
 
@@ -155,7 +115,7 @@ def u_statistic_form(sample, eps: NoiseModel, k: int) -> float:
 
     O(n^2 k) reference implementation kept as an oracle for tests.
     """
-    values = sample.values if isinstance(sample, CircularSample) else np.asarray(sample)
+    values = as_values(sample)
     n = values.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -169,77 +129,3 @@ def u_statistic_form(sample, eps: NoiseModel, k: int) -> float:
         cos = np.cos(2.0 * np.pi * jj * diff)
         total += (cos.sum() - n) / wj  # drop the l == m diagonal (cos 0 = 1)
     return 2.0 * total / (n * (n - 1))
-
-
-def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int) -> int:
-    """Optimal truncation: min{k : a_k^4 <= (2/n^2) sum_{j<=k} |eps_j|^{-4}}.
-
-    The left side is the squared bias of truncation, the right the
-    variance proxy; the smallest crossing balances them.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
-    j = np.arange(1, k_max + 1)
-    a4 = cls.a(j) ** 4
-    with np.errstate(over="ignore", divide="ignore"):
-        var_proxy = 2.0 * np.cumsum(eps.modulus(j) ** -4.0) / n ** 2
-    hits = np.nonzero(a4 <= var_proxy)[0]
-    if hits.size == 0:
-        raise DimensionNotFound(
-            f"no k <= {k_max} balances bias and variance at n = {n}"
-        )
-    return int(hits[0]) + 1
-
-
-@dataclass(frozen=True)
-class RiskBoundBreakdown:
-    """The three competing terms of the estimation risk bound.
-
-    total = max(c1 * bias_sq, c2 * variance_quadratic, c3 * variance_linear)
-    with c1 = 3 R^4, c2 = 3 (||eps||_inf + R^2), c3 = 3 ||eps||_inf R^2.
-    bias_sq is a_k^4, variance_quadratic is nu_k^4, variance_linear is the
-    base term B (the source of the elbow).
-    """
-
-    bias_sq: float
-    variance_linear: float
-    variance_quadratic: float
-    total: float
-    constants: tuple
-
-    def terms(self) -> tuple:
-        c1, c2, c3 = self.constants
-        return (c1 * self.bias_sq, c2 * self.variance_quadratic, c3 * self.variance_linear)
-
-
-def risk_upper_bound(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, k: int, m_max: int = 10 ** 4
-) -> RiskBoundBreakdown:
-    """Uniform risk bound over the ellipsoid at truncation level k.
-
-    E (q_hat_k - q(f))^2 <= c1 a_k^4 v c2 nu_k^4 v c3 B, with the sup norm
-    of the observation density bounded by ||eps||_inf.
-    """
-    from .rates import base_term
-    from .testing import nu_k_sq
-
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    r2 = cls.radius ** 2
-    eps_sup = eps.sup_norm
-    c1 = 3.0 * r2 ** 2
-    c2 = 3.0 * (eps_sup + r2)
-    c3 = 3.0 * eps_sup * r2
-    a_k4 = float(cls.a(np.array([k]))[0]) ** 4
-    nu4 = nu_k_sq(eps, n, k) ** 2
-    b, _ = base_term(cls, eps, n, m_max)
-    total = max(c1 * a_k4, c2 * nu4, c3 * b)
-    return RiskBoundBreakdown(
-        bias_sq=a_k4,
-        variance_linear=b,
-        variance_quadratic=nu4,
-        total=total,
-        constants=(c1, c2, c3),
-    )

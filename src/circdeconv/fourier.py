@@ -29,6 +29,7 @@ __all__ = [
     "SmoothnessClass",
     "NoiseModel",
     "convolve",
+    "observed_density",
     "quadratic_functional",
     "truncated_functional",
     "truncated_functional_observed",
@@ -119,17 +120,6 @@ class FourierDensity:
         vals = 1.0 + 2.0 * np.real(half)
         return vals if vals.ndim else float(vals)
 
-    def evaluate_grid(self, n_points: int) -> np.ndarray:
-        """Evaluate on the uniform grid x_m = m / n_points via an inverse FFT.
-
-        Requires n_points >= 2 * max_freq + 2 so no coefficient aliases.
-        """
-        if n_points < 2 * self.max_freq + 2:
-            raise ValueError("grid too coarse for this max_freq")
-        spec = np.zeros(n_points // 2 + 1, dtype=complex)
-        spec[: self.max_freq + 1] = self.coeffs
-        return np.fft.irfft(spec, n_points) * n_points
-
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -167,6 +157,26 @@ def convolve(f: FourierDensity, eps: FourierDensity) -> FourierDensity:
     """
     k = min(f.max_freq, eps.max_freq)
     return FourierDensity(f.coeffs[: k + 1] * eps.coeffs[: k + 1])
+
+
+def observed_density(f: FourierDensity, eps: "NoiseModel") -> FourierDensity:
+    """The density g = f (*) eps of Y = X + eps mod 1: convolution with the
+    noise density if the model has one, else with the modulus sequence.
+
+    Raises InvalidDensityError, rather than truncating g, when f has a
+    nonzero coefficient above the noise density's max_freq.
+    """
+    if eps.density is None:
+        j = np.arange(1, f.max_freq + 1)
+        return FourierDensity.from_tail(f.coeffs[1:] * eps.modulus(j))
+    cut = eps.density.max_freq
+    beyond = np.flatnonzero(f.coeffs[cut + 1 :])
+    if beyond.size:
+        raise InvalidDensityError(
+            f"f has a nonzero coefficient at frequency {cut + 1 + int(beyond[-1])}, "
+            f"above the noise density's max_freq {cut} (noise_max_freq in a config)"
+        )
+    return convolve(f, eps.density)
 
 
 def quadratic_functional(f: FourierDensity) -> float:

@@ -22,17 +22,25 @@ from typing import Optional
 import numpy as np
 
 from .errors import IngestError
-from .estimation import estimate_q_batch, optimal_dim_est
-from .fourier import FourierDensity, NoiseModel, SmoothnessClass, convolve, quadratic_functional
-from .lowerbounds import build_hypercube, build_two_point, optimal_two_point_freq
+from .estimation import estimate_q_batch
+from .fourier import (
+    FourierDensity,
+    NoiseModel,
+    SmoothnessClass,
+    observed_density,
+    quadratic_functional,
+)
+from .lowerbounds import build_hypercube, build_two_point
+from .rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq, radius_upper
 from .sampling import CircularSample, Rng, sample_batch
-from .testing import calibrate, nu_k_sq, radius_upper
+from .testing import calibrate
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_risk_experiment",
     "run_test_experiment",
+    "resolve_k",
     "ingest_circular_data",
     "emit_report",
     "load_report",
@@ -200,13 +208,6 @@ def _mixture_sampler(theta_obs: np.ndarray):
     return sampler
 
 
-def _observed_density(f: FourierDensity, eps: NoiseModel) -> FourierDensity:
-    if eps.density is not None:
-        return convolve(f, eps.density)
-    j = np.arange(1, f.max_freq + 1)
-    return FourierDensity.from_tail(f.coeffs[1:] * eps.modulus(j))
-
-
 def _boundary_density(cls: SmoothnessClass, k: int) -> FourierDensity:
     """A density on the intersection of the ellipsoid boundary and the l1
     certificate: equal weight on frequencies 1..k, scaled to saturate
@@ -219,7 +220,8 @@ def _boundary_density(cls: SmoothnessClass, k: int) -> FourierDensity:
     return FourierDensity.from_tail(t * a)
 
 
-def _resolve_k(cfg: ExperimentConfig, cls, eps, n: int) -> int:
+def resolve_k(cfg: ExperimentConfig, cls, eps, n: int) -> int:
+    """The truncation level at sample size n: kappa* or the fixed k_rule."""
     if cfg.k_rule == "kappa_star":
         return optimal_dim_est(cls, eps, n, 10 ** 5)
     return int(cfg.k_rule)
@@ -235,17 +237,17 @@ def _risk_scenarios(cfg: ExperimentConfig, cls, eps, n: int, k: int):
             fam = build_hypercube(cls, eps, n, cfg.alpha)
             tau = np.ones(fam.kappa)
             f = fam.vertex(tau)
-            out[name] = (_fixed_density_sampler(_observed_density(f, eps)), quadratic_functional(f))
+            out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
         elif name == "two_point":
             m = optimal_two_point_freq(cls, eps, n)
             pair = build_two_point(cls, eps, n, m)
             out[name] = (
-                _fixed_density_sampler(_observed_density(pair.f_plus, eps)),
+                _fixed_density_sampler(observed_density(pair.f_plus, eps)),
                 quadratic_functional(pair.f_plus),
             )
         elif name == "boundary":
             f = _boundary_density(cls, k)
-            out[name] = (_fixed_density_sampler(_observed_density(f, eps)), quadratic_functional(f))
+            out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
         else:
             raise ValueError(f"unknown scenario {name!r}")
     return out
@@ -263,7 +265,7 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     t0 = time.perf_counter()
     for n_idx, n in enumerate(cfg.n_grid):
-        k = _resolve_k(cfg, cls, eps, n)
+        k = resolve_k(cfg, cls, eps, n)
         scen = _risk_scenarios(cfg, cls, eps, n, k)
         for s_idx, name in enumerate(cfg.scenarios):
             sampler, q_true = scen[name]
@@ -289,17 +291,7 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
     for n in cfg.n_grid:
         max_row = max((r for r in rows if r["n"] == n), key=lambda r: r["risk"])
-        rows.append(
-            {
-                "n": n,
-                "scenario": "max",
-                "k": max_row["k"],
-                "q_true": max_row["q_true"],
-                "risk": max_row["risk"],
-                "risk_se": max_row["risk_se"],
-                "nu_k_sq": max_row["nu_k_sq"],
-            }
-        )
+        rows.append({**max_row, "scenario": "max"})
     meta = {
         "config": cfg.identity_dict(),
         "config_hash": cfg.config_hash(),
@@ -322,7 +314,7 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     t0 = time.perf_counter()
     for n_idx, n in enumerate(cfg.n_grid):
-        k = _resolve_k(cfg, cls, eps, n)
+        k = resolve_k(cfg, cls, eps, n)
         thr = cal.C_alpha * nu_k_sq(eps, n, k)
         rho_sq = radius_upper(cls, eps, n, k)
         rng0 = Rng(cfg.seed, (0, n_idx))
@@ -336,21 +328,11 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
         type1 = float(rejected.mean())
         se1 = float(rejected.std(ddof=1) / np.sqrt(rejected.size))
-        rows.append(
-            {
-                "n": n,
-                "A": 0.0,
-                "k": k,
-                "type1": type1,
-                "type2": None,
-                "error_sum": None,
-                "se": se1,
-                "rho_star_sq": rho_sq,
-            }
-        )
+        # fields shared by the null row and every ladder row at this n
+        at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
+        rows.append({**at_n, "A": 0.0, "se": se1})
         fam = build_hypercube(cls, eps, n, cfg.alpha)
-        j = np.arange(1, fam.kappa + 1)
-        theta_obs_base = fam.base_coeffs * eps.modulus(j)
+        theta_obs_base = fam.observed_coeffs(eps)
         a_base = np.sqrt(fam.a_lower_sq)
         for a_idx, a_mult in enumerate(cfg.a_ladder):
             # scale coefficients so q(f) = A^2 rho*^2 (theta scales like A)
@@ -358,19 +340,7 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             theta = fam.base_coeffs * scale
             feasible = 2.0 * float(np.sum(theta)) <= 1.0 + 1e-12
             if not feasible:
-                rows.append(
-                    {
-                        "n": n,
-                        "A": a_mult,
-                        "k": k,
-                        "type1": type1,
-                        "type2": None,
-                        "error_sum": None,
-                        "se": None,
-                        "rho_star_sq": rho_sq,
-                        "feasible": False,
-                    }
-                )
+                rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
             rng1 = Rng(cfg.seed, (1 + a_idx, n_idx))
             accepted = _run_batches(
@@ -384,14 +354,11 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             type2 = float(accepted.mean())
             rows.append(
                 {
-                    "n": n,
+                    **at_n,
                     "A": a_mult,
-                    "k": k,
-                    "type1": type1,
                     "type2": type2,
                     "error_sum": type1 + type2,
                     "se": float(accepted.std(ddof=1) / np.sqrt(accepted.size)),
-                    "rho_star_sq": rho_sq,
                     "feasible": True,
                 }
             )

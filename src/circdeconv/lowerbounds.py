@@ -25,15 +25,13 @@ import numpy as np
 
 from . import config
 from .errors import ConditionViolation
-from .estimation import optimal_dim_est
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
+from .rates import nu_k_sq, optimal_dim_est
 from .sampling import Rng, sample_batch
-from .testing import nu_k_sq
 
 __all__ = [
     "HypercubeFamily",
     "TwoPointPair",
-    "find_eta",
     "build_hypercube",
     "chi2_mixture_bound",
     "cube_product_identity",
@@ -41,20 +39,9 @@ __all__ = [
     "hellinger_reduction_bound",
     "testing_to_estimation_lb",
     "exact_mixture_chi2",
-    "mc_chi2_estimate",
 ]
 
 _SLACK = config.CONDITION_SLACK
-
-
-def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = 10 ** 5) -> float:
-    """Balance factor eta = (a^2 ^ nu^2) / (a^2 v nu^2) at the optimal
-    dimension; always in (0, 1], equal to 1 when bias and fluctuation
-    scales cross exactly at kappa*."""
-    kappa = optimal_dim_est(cls, eps, n, k_max)
-    a2 = float(cls.a(np.array([kappa]))[0]) ** 2
-    nu2 = nu_k_sq(eps, n, kappa)
-    return min(a2, nu2) / max(a2, nu2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,16 +88,18 @@ class HypercubeFamily:
         for tau in itertools.product((-1.0, 1.0), repeat=self.kappa):
             yield self.vertex(np.array(tau))
 
+    def observed_coeffs(self, eps: NoiseModel) -> np.ndarray:
+        """Observation-space magnitudes theta_j |eps_j| for j = 1..kappa."""
+        return self.base_coeffs * eps.modulus(np.arange(1, self.kappa + 1))
+
     def sample_mixture(self, eps: NoiseModel, n: int, reps: int, rng: Rng) -> np.ndarray:
         """Draw reps independent n-samples from the uniform mixture over
         vertices convolved with the noise: per replication a sign vector
         tau is drawn uniformly, then Y ~ f^tau (*) eps. Returns (reps, n).
         """
         gen = rng.generator()
-        j = np.arange(1, self.kappa + 1)
-        g_base = self.base_coeffs * eps.modulus(j)
         taus = gen.choice([-1.0, 1.0], size=(reps, self.kappa))
-        return sample_batch(taus * g_base, n, gen)
+        return sample_batch(taus * self.observed_coeffs(eps), n, gen)
 
 
 def build_hypercube(
@@ -128,13 +117,13 @@ def build_hypercube(
         raise ValueError("alpha must lie in (0, 1)")
     l_a = cls.l_a()
     kappa = optimal_dim_est(cls, eps, n, k_max)
-    eta = find_eta(cls, eps, n, k_max)
+    a2 = float(cls.a(np.array([kappa]))[0]) ** 2
+    nu2 = nu_k_sq(eps, n, kappa)
+    eta = min(a2, nu2) / max(a2, nu2)  # equals rates.find_eta
+    rho_star_sq = max(a2, nu2)  # equals rates.radius_upper at kappa*
     zeta = min(cls.radius ** 2, np.sqrt(np.log(1.0 + 2.0 * alpha ** 2)), 1.0 / l_a)
-    j = np.arange(1, kappa + 1)
-    mod = eps.modulus(j)
+    mod = eps.modulus(np.arange(1, kappa + 1))
     s = 2.0 * float(np.sum(mod ** -4.0))
-    a_k2 = float(cls.a(np.array([kappa]))[0]) ** 2
-    rho_star_sq = max(a_k2, nu_k_sq(eps, n, kappa))
     theta = np.sqrt(zeta * eta) * np.sqrt(rho_star_sq) * mod ** -2.0 / np.sqrt(s)
 
     vertex = FourierDensity.from_tail(theta)
@@ -239,18 +228,6 @@ class TwoPointPair:
     separation_sq: float  # (p^2 - q^2)^2 = 64 xi^2 C^4 a_m^4
     conv_diff_sq: float  # per-frequency value 4 C^2 xi^2 a_m^2 |eps_m|^2
     conv_diff_sq_exact: float  # full squared L2 norm, both frequencies
-
-
-def optimal_two_point_freq(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = 10 ** 4
-) -> int:
-    """Frequency m* maximizing the base term min(a_m^4, a_m^2/(n|eps_m|^2));
-    equivalently the largest m with n a_m^2 |eps_m|^2 >= 1 when the
-    sequences decay."""
-    from .rates import base_term
-
-    _, m_star = base_term(cls, eps, n, m_max)
-    return m_star
 
 
 def build_two_point(cls: SmoothnessClass, eps: NoiseModel, n: int, m: int) -> TwoPointPair:
@@ -371,13 +348,3 @@ def exact_mixture_chi2(theta, n: int, quad_points: int = 256) -> float:
     mix /= len(taus)
     # null density is identically 1, so chi^2 = integral of mix^2 - 1
     return float(np.sum(mix ** 2)) / quad_points ** n - 1.0
-
-
-def mc_chi2_estimate(
-    family: HypercubeFamily, eps: NoiseModel, n: int, quad_points: int = 512
-):
-    """Exact small-case chi^2 divergence for a hypercube family's mixture
-    of observation densities. Returns (estimate, quadrature_resolution)."""
-    j = np.arange(1, family.kappa + 1)
-    g_base = family.base_coeffs * eps.modulus(j)
-    return exact_mixture_chi2(g_base, n, quad_points), quad_points

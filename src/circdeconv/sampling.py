@@ -23,14 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .fourier import FourierDensity, NoiseModel, convolve
+from .fourier import FourierDensity, NoiseModel, observed_density
 
 __all__ = [
     "CircularSample",
     "Rng",
+    "as_values",
     "wrap_add",
     "sample_density",
+    "sample_batch",
     "sample_model",
+    "sample_observed",
     "save_csv",
     "load_csv",
     "save_binary",
@@ -63,6 +66,11 @@ class CircularSample:
     @property
     def n(self) -> int:
         return self.values.size
+
+
+def as_values(sample) -> np.ndarray:
+    """The observations of a CircularSample, or an array-like, as an array."""
+    return sample.values if isinstance(sample, CircularSample) else np.asarray(sample, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -189,11 +197,7 @@ def sample_observed(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if eps.density is not None:
-        g = convolve(f, eps.density)
-    else:
-        j = np.arange(1, f.max_freq + 1)
-        g = FourierDensity.from_tail(f.coeffs[1:] * eps.modulus(j))
+    g = observed_density(f, eps)
     gen = rng.generator() if isinstance(rng, Rng) else rng
     seed = rng.seed if isinstance(rng, Rng) else -1
     return CircularSample(sample_density(g, n, gen), seed=seed, provenance=provenance)

@@ -1,8 +1,8 @@
 """Goodness-of-fit test for uniformity under circular convolution.
 
 The test rejects the uniform null when the bias-corrected statistic
-q_hat_k exceeds C_alpha * nu_k^2, where nu_k^2 is the null standard
-deviation scale: exactly, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1).
+q_hat_k exceeds C_alpha * nu_k^2, where nu_k^2 (rates.nu_k_sq) is the
+null standard deviation scale: exactly, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1).
 Calibration constants come with a verified guarantee: the two
 inequalities of TestCalibration bound the type I error and the type II
 error over the separated alternative by alpha/2 each.
@@ -16,30 +16,17 @@ import numpy as np
 
 from .errors import CalibrationError
 from .estimation import estimate_q
-from .fourier import NoiseModel, SmoothnessClass
+from .fourier import NoiseModel
+from .rates import nu_k_sq
+from .sampling import as_values
 
 __all__ = [
     "TestCalibration",
     "TestResult",
-    "nu_k_sq",
     "calibrate",
     "custom_calibration",
     "run_test",
-    "radius_upper",
 ]
-
-
-def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
-    """Null fluctuation scale: (1/n) sqrt(2 sum_{j=1}^{k} |eps_j|^{-4}).
-
-    Under the uniform null, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1) exactly.
-    """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    j = np.arange(1, k + 1)
-    with np.errstate(over="ignore"):
-        s = 2.0 * float(np.sum(eps.modulus(j) ** -4.0))
-    return float(np.sqrt(s)) / n
 
 
 @dataclass(frozen=True)
@@ -131,22 +118,9 @@ def run_test(sample, eps: NoiseModel, k: int, cal: TestCalibration) -> TestResul
 
     Ties are rejections: the decision rule is q_hat_k >= C_alpha nu_k^2.
     """
-    values = sample.values if hasattr(sample, "values") else np.asarray(sample)
-    n = values.size
+    n = as_values(sample).size
     stat = estimate_q(sample, eps, k)
     nu2 = nu_k_sq(eps, n, k)
     thr = cal.C_alpha * nu2
     decision = "reject_null" if stat >= thr else "accept_null"
     return TestResult(statistic=stat, threshold=thr, decision=decision, k=k, nu_k_sq=nu2)
-
-
-def radius_upper(cls: SmoothnessClass, eps: NoiseModel, n: int, k: int) -> float:
-    """Detection radius at level k: rho_k^2 = max(a_k^2, nu_k^2).
-
-    Alternatives separated from uniform by a multiple of rho_k are
-    detectable; minimizing over k gives the testing radius.
-    """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    a_k2 = float(cls.a(np.array([k]))[0]) ** 2
-    return max(a_k2, nu_k_sq(eps, n, k))

@@ -7,20 +7,17 @@ from circdeconv.estimation import (
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
-    estimate_q_clamped,
-    optimal_dim_est,
-    risk_upper_bound,
     u_statistic_form,
-    unbiased_sq_modulus,
 )
 from circdeconv.fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
+    quadratic_functional,
     truncated_functional,
 )
-from circdeconv.rates import fit_rate
-from circdeconv.sampling import CircularSample, Rng, sample_observed
+from circdeconv.rates import fit_rate, nu_k_sq, optimal_dim_est, risk_upper_bound
+from circdeconv.sampling import CircularSample, Rng, sample_batch
 
 
 class TestEmpiricalCoeffs:
@@ -58,33 +55,37 @@ class TestEmpiricalCoeffs:
 
 
 class TestUnbiasedSqModulus:
+    """q_hat_1 is 2 |eps_1|^{-2} times the bias-corrected squared modulus
+    |g_hat_1|^2 - (1 - |g_hat_1|^2) / (n - 1)."""
+
+    EPS = NoiseModel.mild(1.0, scale=0.5)
+
     def test_unit_modulus_gives_one(self):
-        assert unbiased_sq_modulus(1.0 + 0j, 5) == pytest.approx(1.0)
+        # a point mass has |g_hat_1| = 1, so the correction vanishes
+        q = estimate_q(np.full(5, 0.3), self.EPS, 1)
+        assert q == pytest.approx(2.0 / 0.5 ** 2)
 
     def test_zero_at_n_two(self):
-        assert unbiased_sq_modulus(0.0 + 0j, 2) == pytest.approx(-1.0)
+        # {0, 1/2} has g_hat_1 = 0, so the corrected modulus is -1/(n - 1) = -1
+        q = estimate_q(np.array([0.0, 0.5]), self.EPS, 1)
+        assert q == pytest.approx(-2.0 / 0.5 ** 2)
 
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
-            unbiased_sq_modulus(0.5, 1)
+            estimate_q(np.array([0.5]), self.EPS, 1)
 
     def test_unbiased_for_squared_coefficient(self):
         f = FourierDensity.from_tail([0.3])
         eps = NoiseModel.mild(1.0, max_freq=1)
-        g1 = 0.3  # f_1 * eps_1
         reps, n = 20_000, 50
         y = _observed_matrix(f, eps, reps, n, Rng(10))
-        vals = np.array(
-            [unbiased_sq_modulus(empirical_coeffs(y[r], 1).coeffs[1], n) for r in range(200)]
-        )
+        vals = np.array([estimate_q(y[r], eps, 1) for r in range(200)])
         se = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert abs(vals.mean() - g1 ** 2) <= 3 * se
+        assert abs(vals.mean() - 2 * 0.3 ** 2) <= 3 * se
 
 
 def _observed_matrix(f, eps, reps, n, rng):
-    """reps x n draws from g = f (*) eps via one shared CDF inversion."""
-    from circdeconv.sampling import sample_batch
-
+    """reps x n draws from g = f (*) eps, all from one sampler call."""
     j = np.arange(1, f.max_freq + 1)
     g_tail = f.coeffs[1:] * eps.modulus(j)
     return sample_batch(g_tail[np.newaxis, :], reps * n, rng.generator()).reshape(reps, n)
@@ -127,11 +128,6 @@ class TestEstimateQ:
         q1 = estimate_q(vals, eps, 4)
         q2 = estimate_q(np.sort(vals), eps, 4)
         assert q1 == pytest.approx(q2, abs=1e-12)
-
-    def test_clamped_accessor(self):
-        eps = NoiseModel.mild(1.0)
-        vals = Rng(9).generator().random(5)
-        assert estimate_q_clamped(vals, eps, 2) >= 0.0
 
     def test_accepts_circular_sample(self):
         eps = NoiseModel.mild(1.0)
@@ -206,7 +202,20 @@ class TestRiskUpperBound:
         for tail in ([0.25], [0.2, 0.1], [0.1, 0.1, 0.05]):
             f = FourierDensity.from_tail(tail)
             y = _observed_matrix(f, eps, 400, n, Rng(12))
-            from circdeconv.fourier import quadratic_functional
-
             err = (estimate_q_batch(y, eps, k) - quadratic_functional(f)) ** 2
             assert err.mean() <= bd.total
+
+    def test_rejects_n_below_three(self):
+        # at n = 2 the null risk is 4 nu_k^4 but c2 nu_k^4 can be ~3 nu_k^4
+        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
+        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
+        with pytest.raises(ValueError):
+            risk_upper_bound(cls, eps, 2, 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_dominates_exact_null_risk(self, n):
+        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
+        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
+        for k in (1, 2, 5):
+            null_risk = 2.0 * nu_k_sq(eps, n, k) ** 2 * n / (n - 1)
+            assert risk_upper_bound(cls, eps, n, k).total >= null_risk

@@ -7,6 +7,7 @@ from circdeconv.fourier import (
     SmoothnessClass,
     convolve,
     ellipsoid_membership,
+    observed_density,
     quadratic_functional,
     truncated_functional,
     truncated_functional_observed,
@@ -58,21 +59,18 @@ class TestFourierDensity:
         assert v == pytest.approx(1.0 + 0.6 * np.cos(np.pi / 2), abs=1e-12)
 
     def test_evaluate_grid_matches_evaluate(self):
+        # on the grid m / 64 the series is an inverse FFT of the coefficients
         rng = np.random.default_rng(3)
         tail = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         f = FourierDensity.from_tail(tail)
-        grid = f.evaluate_grid(64)
-        xs = np.arange(64) / 64
-        assert np.allclose(grid, f.evaluate(xs), atol=1e-10)
-
-    def test_evaluate_grid_rejects_aliasing(self):
-        f = FourierDensity.from_tail([0.1, 0.1, 0.1])
-        with pytest.raises(ValueError):
-            f.evaluate_grid(6)
+        spec = np.zeros(33, dtype=complex)
+        spec[:9] = f.coeffs
+        grid = np.fft.irfft(spec, 64) * 64
+        assert np.allclose(grid, f.evaluate(np.arange(64) / 64), atol=1e-10)
 
     def test_integrates_to_one(self):
         f = FourierDensity.from_tail([0.3, 0.1j])
-        grid = f.evaluate_grid(256)
+        grid = f.evaluate(np.arange(256) / 256)
         assert np.mean(grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_l1_certificate(self):
@@ -81,7 +79,7 @@ class TestFourierDensity:
 
     def test_sup_norm_bound_dominates_grid(self):
         f = FourierDensity.from_tail([0.2, 0.1])
-        assert f.sup_norm_bound() >= np.max(f.evaluate_grid(256))
+        assert f.sup_norm_bound() >= np.max(f.evaluate(np.arange(256) / 256))
 
     def test_json_round_trip(self):
         f = FourierDensity.from_tail([0.2 + 0.1j, -0.05])
@@ -108,7 +106,7 @@ class TestFunctionals:
     def test_quadratic_functional_parseval(self):
         # q(f) = ||f - 1||^2: compare with the numeric L2 norm on a grid
         f = FourierDensity.from_tail([0.3, 0.1])
-        grid = f.evaluate_grid(512)
+        grid = f.evaluate(np.arange(512) / 512)
         numeric = np.mean((grid - 1.0) ** 2)
         assert quadratic_functional(f) == pytest.approx(numeric, abs=1e-12)
 
@@ -126,6 +124,17 @@ class TestFunctionals:
         assert truncated_functional_observed(g, eps, 2) == pytest.approx(
             truncated_functional(f, 2), abs=1e-12
         )
+
+    def test_observed_density_refuses_to_truncate(self):
+        eps = NoiseModel.mild(1.0, max_freq=2)
+        # zeros above the noise density's max_freq are dropped exactly
+        g = observed_density(FourierDensity.from_tail([0.4, 0.2, 0.0]), eps)
+        assert np.allclose(g.coeffs[1:], [0.4, 0.1])
+        with pytest.raises(InvalidDensityError, match="frequency 3.*max_freq 2"):
+            observed_density(FourierDensity.from_tail([0.4, 0.2, 0.1]), eps)
+        # a sequence-only model has no max_freq to exceed
+        g = observed_density(FourierDensity.from_tail([0.4, 0.2, 0.1]), NoiseModel.mild(1.0))
+        assert np.allclose(g.coeffs[1:], [0.4, 0.1, 0.1 / 3])
 
     def test_ellipsoid_membership(self):
         cls = SmoothnessClass.ordinary(1.0, radius=1.0)

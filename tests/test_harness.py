@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import circdeconv
-from circdeconv.errors import IngestError
+from circdeconv.errors import IngestError, InvalidDensityError
+from circdeconv.fourier import NoiseModel, SmoothnessClass
 from circdeconv.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -18,6 +19,7 @@ from circdeconv.harness import (
     run_risk_experiment,
     run_test_experiment,
 )
+from circdeconv.rates import optimal_dim_est
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
@@ -80,6 +82,15 @@ class TestRiskExperiment:
         row = report.rows[0]
         exact = 4.0 / (n * (n - 1)) / 0.9999 ** 4
         assert abs(row["risk"] - exact) <= 3 * row["risk_se"]
+
+    def test_refuses_density_beyond_noise_max_freq(self):
+        # kappa* = 129 here but the noise density stops at noise_max_freq =
+        # 64; truncating would sample a density that does not carry q_true
+        cfg = ExperimentConfig(
+            s=0.6, p=0.6, n_grid=(10 ** 6,), scenarios=("hypercube",), replications=10
+        )
+        with pytest.raises(InvalidDensityError, match="129.*64"):
+            run_risk_experiment(cfg)
 
     def test_deterministic_across_thread_counts(self):
         base = dict(
@@ -228,6 +239,29 @@ class TestCli:
         res = self._run("test", str(data), "--k", "2", "--alpha", "0.1")
         assert res.returncode == 0
         assert json.loads(res.stdout)["decision"] in ("accept_null", "reject_null")
+
+    @pytest.mark.parametrize(
+        "args", [("estimate", "--k", "0"), ("estimate", "--k", "abc"), ("test", "--k", "0")]
+    )
+    def test_bad_k_runtime_error_exit_code(self, tmp_path, args):
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.2\n0.7\n")
+        res = self._run(args[0], str(data), *args[1:])
+        assert res.returncode == 2
+
+    def test_auto_k_uses_model_flags(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(str(v) for v in np.random.default_rng(1).random(500)))
+        res = self._run(
+            "estimate", str(data), "--k", "auto", "--noise", "severe", "--p", "1",
+            "--smoothness", "super", "--s", "1",
+        )
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        expected = optimal_dim_est(
+            SmoothnessClass.supersmooth(1.0), NoiseModel.severe(1.0), out["n"], 10 ** 5
+        )
+        assert out["n"] == 500 and out["k"] == expected
 
     def test_rates_command(self):
         res = self._run("rates", "--s", "2.0")

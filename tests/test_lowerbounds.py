@@ -14,14 +14,11 @@ from circdeconv.lowerbounds import (
     chi2_mixture_bound,
     cube_product_identity,
     exact_mixture_chi2,
-    find_eta,
     hellinger_reduction_bound,
-    mc_chi2_estimate,
-    optimal_two_point_freq,
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
+from circdeconv.rates import find_eta, nu_k_sq, optimal_dim_est, optimal_two_point_freq
 from circdeconv.sampling import Rng
-from circdeconv.testing import nu_k_sq
 
 CLS = SmoothnessClass.ordinary(1.0)
 EPS = NoiseModel.mild(1.0)
@@ -36,8 +33,6 @@ class TestFindEta:
 
     def test_explicit_ratio_small_n(self):
         n = 4
-        from circdeconv.estimation import optimal_dim_est
-
         kappa = optimal_dim_est(CLS, EPS, n, 100)
         a2 = float(CLS.a(np.array([kappa]))[0]) ** 2
         nu2 = nu_k_sq(EPS, n, kappa)
@@ -122,10 +117,9 @@ class TestChi2Bound:
     def test_mc_estimate_consistent_with_family(self):
         fam = build_hypercube(CLS, EPS, 40, 0.3)
         if fam.kappa <= 3:
-            est, _ = mc_chi2_estimate(fam, EPS, 2)
-            assert 0 <= est <= chi2_mixture_bound(
-                fam.base_coeffs * EPS.modulus(np.arange(1, fam.kappa + 1)), 2
-            ) + 1e-12
+            theta = fam.observed_coeffs(EPS)
+            est = exact_mixture_chi2(theta, 2, 512)
+            assert 0 <= est <= chi2_mixture_bound(theta, 2) + 1e-12
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

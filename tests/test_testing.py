@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from circdeconv.errors import CalibrationError
-from circdeconv.estimation import estimate_q_batch, optimal_dim_est
+from circdeconv.estimation import estimate_q_batch
 from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
+from circdeconv.rates import nu_k_sq, optimal_dim_est, radius_upper
 from circdeconv.sampling import Rng
-from circdeconv.testing import (
-    calibrate,
-    custom_calibration,
-    nu_k_sq,
-    radius_upper,
-    run_test,
-)
+from circdeconv.testing import calibrate, custom_calibration, run_test
 
 
 class TestNuKSq:
