@@ -19,8 +19,6 @@ from .errors import (
     InvalidDensityError,
 )
 from .estimation import (
-    EmpiricalCoeffs,
-    empirical_coeffs,
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
@@ -59,7 +57,6 @@ from .lowerbounds import (
 from .rates import (
     OrderDescriptor,
     RateReport,
-    RegimeSpec,
     RiskBoundBreakdown,
     ScanRow,
     base_term,
@@ -78,14 +75,10 @@ from .rates import (
 from .sampling import (
     CircularSample,
     Rng,
-    load_binary,
-    load_csv,
     sample_batch,
     sample_density,
     sample_model,
     sample_observed,
-    save_binary,
-    save_csv,
     wrap_add,
 )
 from .testing import (

@@ -35,7 +35,6 @@ from .harness import (
 )
 from .lowerbounds import build_hypercube, build_two_point
 from .rates import (
-    RegimeSpec,
     fit_rate,
     numeric_rate_scan,
     optimal_two_point_freq,
@@ -117,15 +116,17 @@ def cmd_test(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    reg = RegimeSpec(args.smoothness, args.s, args.illposedness, args.p)
-    est = theoretical_estimation_rate(reg)
-    tst = theoretical_testing_radius(reg)
+    cfg = _config_from_args(args)
+    cls = cfg.smoothness_class()
+    eps = cfg.noise_model()
+    est = theoretical_estimation_rate(cls, eps)
+    tst = theoretical_testing_radius(cls, eps)
     out = {
         "regime": {
-            "smoothness": reg.smoothness,
-            "s": reg.s,
-            "illposedness": reg.illposedness,
-            "p": reg.p,
+            "smoothness": cfg.smoothness,
+            "s": cfg.s,
+            "illposedness": cfg.illposedness,
+            "p": cfg.p,
         },
         "estimation_rate": {"n_exp": est.rate.n_exp, "log_exp": est.rate.log_exp},
         "estimation_elbow": est.elbow,
@@ -133,9 +134,6 @@ def cmd_rates(args) -> int:
         "testing_radius": {"n_exp": tst.rate.n_exp, "log_exp": tst.rate.log_exp},
     }
     if args.scan:
-        cfg = _config_from_args(args)
-        cls = cfg.smoothness_class()
-        eps = cfg.noise_model()
         ns = [2 ** e for e in range(8, args.scan_max_exp + 1)]
         rows = numeric_rate_scan(cls, eps, ns)
         out["scan"] = [

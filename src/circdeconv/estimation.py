@@ -10,13 +10,11 @@ truncates at level k and corrects the plug-in bias of |g_hat_j|^2:
 which is exactly unbiased for the truncated functional
 2 sum_{j<=k} |f_j|^2. It is a U-statistic over ordered pairs of
 observations, which gives an exact variance decomposition and the risk
-bound implemented in rates.risk_upper_bound. The single-sample functions
-are one-row calls into the batch kernels.
+bound implemented in rates.risk_upper_bound. The single-sample estimator
+is a one-row call into the batch kernels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,48 +22,11 @@ from .fourier import NoiseModel
 from .sampling import as_values
 
 __all__ = [
-    "EmpiricalCoeffs",
-    "empirical_coeffs",
     "empirical_coeffs_batch",
     "estimate_q",
     "estimate_q_batch",
     "u_statistic_form",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalCoeffs:
-    """Empirical Fourier coefficients g_hat_j = (1/n) sum_k exp(-2 pi i j Y_k).
-
-    coeffs holds j = 0..j_max; g_hat_0 = 1 exactly and every modulus is
-    at most 1 (an average of unit-modulus terms).
-    """
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-d vector")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def j_max(self) -> int:
-        return self.coeffs.size - 1
-
-
-def empirical_coeffs(sample, j_max: int) -> EmpiricalCoeffs:
-    """Compute g_hat_j for j = 0..j_max from a sample on [0, 1)."""
-    values = as_values(sample)
-    if values.size < 1:
-        raise ValueError("need n >= 1")
-    if j_max < 1:
-        raise ValueError("need j_max >= 1")
-    tail = empirical_coeffs_batch(values[np.newaxis, :], j_max)[0]
-    return EmpiricalCoeffs(n=values.size, coeffs=np.concatenate(([1.0 + 0j], tail)))
 
 
 def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:

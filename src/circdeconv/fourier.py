@@ -14,14 +14,12 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import zeta
 
-from . import config
 from .errors import ClassNotSummable, InvalidDensityError
 
 __all__ = [
@@ -35,6 +33,9 @@ __all__ = [
     "truncated_functional_observed",
     "ellipsoid_membership",
 ]
+
+# Default truncation for summing explicit smoothness sequences.
+SEQUENCE_SUM_TRUNCATION = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +128,6 @@ class FourierDensity:
             "max_freq": self.max_freq,
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FourierDensity":
-        coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
-        if len(coeffs) != d["max_freq"] + 1:
-            raise InvalidDensityError("max_freq inconsistent with coefficient count")
-        return cls(coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "FourierDensity":
-        return cls.from_json_dict(json.loads(s))
 
     def __eq__(self, other):
         if not isinstance(other, FourierDensity):
@@ -290,7 +277,7 @@ class SmoothnessClass:
         vals = self.a(np.arange(1, j_max + 1))
         return bool(np.all(np.diff(vals) <= 1e-15))
 
-    def l_a(self, truncation: int = config.SEQUENCE_SUM_TRUNCATION) -> float:
+    def l_a(self, truncation: int = SEQUENCE_SUM_TRUNCATION) -> float:
         """L_a = 2 sum_j a_j^2, the constant controlling density certification
         of hypercube hypotheses.
 
@@ -319,8 +306,8 @@ class NoiseModel:
     and a sup-norm bound; the density itself is needed when the error is
     actually sampled. kind is one of:
 
-      "mildly"    |eps_j| = scale * j^{-p},        p > 1/2
-      "severely"  |eps_j| = scale * exp(-j^p),     p > 0
+      "mild"      |eps_j| = scale * j^{-p},        p > 1/2
+      "severe"    |eps_j| = scale * exp(-j^p),     p > 0
       "explicit"  |eps_j| read off a FourierDensity's coefficients
 
     A sequence-only model (density=None) supports every bound and rate
@@ -334,12 +321,12 @@ class NoiseModel:
     sup_norm_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "mildly":
+        if self.kind == "mild":
             if self.p is None or self.p <= 0.5:
-                raise ValueError("mildly ill-posed requires p > 1/2")
-        elif self.kind == "severely":
+                raise ValueError("mild ill-posedness requires p > 1/2")
+        elif self.kind == "severe":
             if self.p is None or self.p <= 0:
-                raise ValueError("severely ill-posed requires p > 0")
+                raise ValueError("severe ill-posedness requires p > 0")
         elif self.kind == "explicit":
             if self.density is None:
                 raise ValueError("explicit noise needs a density")
@@ -366,7 +353,7 @@ class NoiseModel:
             j = np.arange(1, max_freq + 1, dtype=float)
             density = FourierDensity.from_tail(scale * j ** (-p))
         return cls(
-            kind="mildly", p=p, scale=scale, density=density, sup_norm_value=sup_norm_value
+            kind="mild", p=p, scale=scale, density=density, sup_norm_value=sup_norm_value
         )
 
     @classmethod
@@ -375,7 +362,7 @@ class NoiseModel:
         if max_freq is not None:
             j = np.arange(1, max_freq + 1, dtype=float)
             density = FourierDensity.from_tail(scale * np.exp(-(j ** p)))
-        return cls(kind="severely", p=p, scale=scale, density=density)
+        return cls(kind="severe", p=p, scale=scale, density=density)
 
     @classmethod
     def from_density(cls, density: FourierDensity, sup_norm: Optional[float] = None):
@@ -388,9 +375,9 @@ class NoiseModel:
         j = np.asarray(j, dtype=float)
         if np.any(j < 1):
             raise ValueError("modulus is indexed by j >= 1")
-        if self.kind == "mildly":
+        if self.kind == "mild":
             return self.scale * j ** (-self.p)
-        if self.kind == "severely":
+        if self.kind == "severe":
             return self.scale * np.exp(-(j ** self.p))
         jmax = self.density.max_freq
         if np.any(j > jmax):
@@ -406,10 +393,10 @@ class NoiseModel:
             return self.density.sup_norm_bound()
         # sequence-only model: bound via the l1 norm of the modulus sequence,
         # summed to convergence (severe) or bounded crudely (mild)
-        if self.kind == "severely":
+        if self.kind == "severe":
             j = np.arange(1, 2000, dtype=float)
             return 1.0 + 2.0 * float(np.sum(self.modulus(j)))
         raise ValueError(
-            "sequence-only mildly ill-posed model has no computable sup norm; "
+            "sequence-only mild noise model has no computable sup norm; "
             "attach a density or pass sup_norm_value"
         )

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -49,6 +50,16 @@ __all__ = [
 _BATCH_SIZE = 128
 
 
+def _check_integer(name: str, value, integral_float: bool = True) -> None:
+    """Raise ValueError naming the field unless value is an int (a bool is
+    not) or, with integral_float, a float with no fractional part (64.0)."""
+    ok = isinstance(value, numbers.Integral) or (
+        integral_float and isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully serializable description of a Monte Carlo experiment.
@@ -57,6 +68,11 @@ class ExperimentConfig:
     sequences; a_scale and eps_scale multiply their proportionality
     constants. k_rule is "kappa_star" or a fixed integer level.
     noise_max_freq truncates the noise density used for sampling.
+
+    Construction only validates: a wrongly typed, fractional or empty
+    value raises a ValueError naming its field. replications and seed take
+    an int; threads, noise_max_freq, the n in n_grid and a fixed k_rule
+    also take an integral float such as 64.0.
     """
 
     smoothness: str = "ordinary"
@@ -81,6 +97,22 @@ class ExperimentConfig:
             raise ValueError(f"smoothness must be 'ordinary' or 'super', got {self.smoothness!r}")
         if self.illposedness not in ("mild", "severe"):
             raise ValueError(f"illposedness must be 'mild' or 'severe', got {self.illposedness!r}")
+        for name in ("s", "p", "a_scale", "eps_scale", "radius", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("replications", "seed"):
+            _check_integer(name, getattr(self, name), integral_float=False)
+        for name in ("threads", "noise_max_freq"):
+            _check_integer(name, getattr(self, name))
+        for name in ("n_grid", "scenarios", "a_ladder"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            if not value and name != "a_ladder":
+                raise ValueError(f"{name} must not be empty")
+        for n in self.n_grid:
+            _check_integer("n in n_grid", n)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if any(n < 2 for n in self.n_grid):
@@ -88,8 +120,15 @@ class ExperimentConfig:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.k_rule != "kappa_star":
-            if int(self.k_rule) < 1:
-                raise ValueError("fixed k must be >= 1")
+            try:
+                k = int(self.k_rule) if isinstance(self.k_rule, str) else self.k_rule
+            except ValueError:
+                raise ValueError(
+                    f"k_rule must be 'kappa_star' or an integer, got {self.k_rule!r}"
+                ) from None
+            _check_integer("k_rule", k)
+            if k < 1:
+                raise ValueError("k_rule: fixed k must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "a_ladder", tuple(float(a) for a in self.a_ladder))
@@ -428,7 +467,7 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
         raise IngestError(
             f"{len(failures)}/{len(lines)} lines failed to parse: {detail}"
         )
-    return CircularSample(np.array(values), seed=0, provenance=f"ingest:{fmt}")
+    return CircularSample(np.array(values))
 
 
 # -- report persistence -------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
 from .rates import nu_k_sq, optimal_dim_est
@@ -41,7 +40,11 @@ __all__ = [
     "exact_mixture_chi2",
 ]
 
-_SLACK = config.CONDITION_SLACK
+# Slack used when asserting the lower-bound construction inequalities.
+CONDITION_SLACK = 1e-10
+
+# exp() argument beyond which the chi-square mixture bound overflows.
+CHI2_EXP_OVERFLOW = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +138,7 @@ def build_hypercube(
         raise ConditionViolation("(b) real-valued", "theta must be nonnegative")
     # (c) normalized: f_0 = 1 is enforced by FourierDensity
     # (d) positive: l1 certificate
-    if vertex.l1_tail > 1.0 + _SLACK:
+    if vertex.l1_tail > 1.0 + CONDITION_SLACK:
         raise ConditionViolation(
             "(d) positive", f"l1 tail {vertex.l1_tail:.6g} exceeds 1"
         )
@@ -153,7 +156,7 @@ def build_hypercube(
         )
     # (g) similarity: n^2 * 2 sum theta^4 |eps|^4 <= log(1 + 2 alpha^2)
     sim = n ** 2 * 2.0 * float(np.sum(theta ** 4 * mod ** 4))
-    if sim > np.log(1.0 + 2.0 * alpha ** 2) + _SLACK:
+    if sim > np.log(1.0 + 2.0 * alpha ** 2) + CONDITION_SLACK:
         raise ConditionViolation(
             "(g) similarity", f"{sim:.6g} exceeds log(1+2a^2) = {np.log(1 + 2 * alpha ** 2):.6g}"
         )
@@ -177,7 +180,7 @@ def chi2_mixture_bound(theta, n: int) -> float:
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     expo = 2.0 * n ** 2 * float(np.sum(theta ** 4))
-    if expo > config.CHI2_EXP_OVERFLOW:
+    if expo > CHI2_EXP_OVERFLOW:
         raise OverflowError(
             f"chi^2 bound exponent {expo:.3g} overflows; rescale the construction"
         )
@@ -255,16 +258,16 @@ def build_two_point(cls: SmoothnessClass, eps: NoiseModel, n: int, m: int) -> Tw
         raise ConditionViolation("(b) real-valued", "coefficients must be real")
     # (d) positive: sum_{j != 0} |f_j| = 2 (1 + xi) C a_m <= 1
     d_lhs = 2.0 * (1.0 + xi) * c * a_m
-    if d_lhs > 1.0 + _SLACK:
+    if d_lhs > 1.0 + CONDITION_SLACK:
         raise ConditionViolation("(d) positive", f"l1 tail {d_lhs:.6g} exceeds 1")
     # (e) bounded from below: 2 (1 - xi) C a_m |eps_m| <= 1/2, so that
     # the convolved f_minus stays >= 1/2 pointwise
     e_lhs = 2.0 * (1.0 - xi) * c * a_m * eps_m
-    if e_lhs > 0.5 + _SLACK:
+    if e_lhs > 0.5 + CONDITION_SLACK:
         raise ConditionViolation("(e) bounded from below", f"{e_lhs:.6g} exceeds 1/2")
     # (f) smoothness: 2 a_m^{-2} (1 + xi)^2 C^2 a_m^2 <= R^2
     f_lhs = 2.0 * (1.0 + xi) ** 2 * c ** 2
-    if f_lhs > r ** 2 + _SLACK:
+    if f_lhs > r ** 2 + CONDITION_SLACK:
         raise ConditionViolation("(f) smoothness", f"{f_lhs:.6g} exceeds R^2 = {r ** 2:.6g}")
     # (g) separation identity
     p2 = 2.0 * (1.0 + xi) ** 2 * c ** 2 * a_m ** 2
@@ -275,7 +278,7 @@ def build_two_point(cls: SmoothnessClass, eps: NoiseModel, n: int, m: int) -> Tw
         raise ConditionViolation("(g) separation", "closed form mismatch")
     # (h) similarity: 4 C^2 xi^2 a_m^2 |eps_m|^2 <= 1/(4n)
     conv_diff = 4.0 * c ** 2 * xi ** 2 * a_m ** 2 * eps_m ** 2
-    if conv_diff > 0.25 / n + _SLACK:
+    if conv_diff > 0.25 / n + CONDITION_SLACK:
         raise ConditionViolation("(h) similarity", f"{conv_diff:.6g} exceeds 1/(4n)")
     return TwoPointPair(
         f_plus=f_plus,

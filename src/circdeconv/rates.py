@@ -5,8 +5,8 @@ shared by estimation, testing and the lower bounds: the null fluctuation
 scale nu_k^2, the optimal dimension kappa*, the base term responsible for
 the parametric elbow in estimation, the detection radius and the risk
 bound. Around them sit closed-form rate exponents for the tabulated
-regimes (ordinary or super-smooth density classes against mildly or
-severely ill-posed noise), exact finite-n scans of all rate quantities,
+regimes (ordinary or super-smooth SmoothnessClass against mild or severe
+NoiseModel), exact finite-n scans of all rate quantities,
 and log-log regression utilities for recovering exponents from numeric or
 Monte Carlo data.
 """
@@ -23,7 +23,6 @@ from .errors import DimensionNotFound
 from .fourier import NoiseModel, SmoothnessClass
 
 __all__ = [
-    "RegimeSpec",
     "OrderDescriptor",
     "RateReport",
     "RiskBoundBreakdown",
@@ -183,39 +182,6 @@ def optimal_two_point_freq(
 
 
 @dataclass(frozen=True)
-class RegimeSpec:
-    """A (smoothness, ill-posedness) pairing from the rate tables.
-
-    smoothness: "ordinary" (a_j ~ j^{-s}, s > 1/2) or "super"
-    (a_j ~ exp(-j^s), s > 0); illposedness: "mild" (|eps_j| ~ j^{-p},
-    p > 1/2) or "severe" (|eps_j| ~ exp(-j^p), p > 0).
-    """
-
-    smoothness: str
-    s: float
-    illposedness: str
-    p: float
-
-    def __post_init__(self):
-        if self.smoothness == "ordinary":
-            if self.s <= 0.5:
-                raise ValueError("ordinary smoothness requires s > 1/2")
-        elif self.smoothness == "super":
-            if self.s <= 0:
-                raise ValueError("super smoothness requires s > 0")
-        else:
-            raise ValueError(f"unknown smoothness {self.smoothness!r}")
-        if self.illposedness == "mild":
-            if self.p <= 0.5:
-                raise ValueError("mild ill-posedness requires p > 1/2")
-        elif self.illposedness == "severe":
-            if self.p <= 0:
-                raise ValueError("severe ill-posedness requires p > 0")
-        else:
-            raise ValueError(f"unknown illposedness {self.illposedness!r}")
-
-
-@dataclass(frozen=True)
 class OrderDescriptor:
     """Order of a positive sequence: n^{n_exp} (log n)^{log_exp}.
 
@@ -233,7 +199,6 @@ class OrderDescriptor:
 
 @dataclass(frozen=True)
 class RateReport:
-    regime: RegimeSpec
     r_star4: Optional[OrderDescriptor]
     base: Optional[OrderDescriptor]
     rate: OrderDescriptor
@@ -241,45 +206,52 @@ class RateReport:
     elbow_condition: str
 
 
-def theoretical_estimation_rate(reg: RegimeSpec, n: int = 0) -> RateReport:
-    """Closed-form order of the minimax estimation risk for the regime.
+def _tabulated(cls: SmoothnessClass, eps: NoiseModel, what: str) -> str:
+    """The table row "ordinary/mild", "ordinary/severe" or "super/mild";
+    ValueError for any other pairing, explicit sequences included."""
+    row = f"{cls.kind}/{eps.kind}"
+    if row not in ("ordinary/mild", "ordinary/severe", "super/mild"):
+        raise ValueError(f"no tabulated {what} for {cls.kind} smoothness against {eps.kind} noise")
+    return row
+
+
+def theoretical_estimation_rate(cls: SmoothnessClass, eps: NoiseModel) -> RateReport:
+    """Closed-form order of the minimax estimation risk for the regime of
+    (cls, eps), with s = cls.s and p = eps.p.
 
     ordinary/mild: n^{-8s/(4s+4p+1)}, switching to the parametric n^{-1}
     once s - p >= 1/4 (the elbow); ordinary/severe: (log n)^{-4s/p};
     super/mild: n^{-1}.
     """
-    s, p = reg.s, reg.p
-    if reg.smoothness == "ordinary" and reg.illposedness == "mild":
+    row = _tabulated(cls, eps, "rate")
+    s, p = cls.s, eps.p
+    if row == "ordinary/mild":
         elbow = s - p >= 0.25
         r4 = OrderDescriptor(-8.0 * s / (4.0 * s + 4.0 * p + 1.0))
         b = OrderDescriptor(-1.0)
         rate = b if elbow else r4
-        return RateReport(reg, r4, b, rate, elbow, "s - p >= 1/4")
-    if reg.smoothness == "ordinary" and reg.illposedness == "severe":
+        return RateReport(r4, b, rate, elbow, "s - p >= 1/4")
+    if row == "ordinary/severe":
         rate = OrderDescriptor(0.0, -4.0 * s / p)
-        return RateReport(reg, rate, OrderDescriptor(-1.0), rate, False, "never (log regime)")
-    if reg.smoothness == "super" and reg.illposedness == "mild":
-        rate = OrderDescriptor(-1.0)
-        return RateReport(reg, None, rate, rate, True, "always (parametric)")
-    raise ValueError("no tabulated rate for super-smooth against severe noise")
+        return RateReport(rate, OrderDescriptor(-1.0), rate, False, "never (log regime)")
+    rate = OrderDescriptor(-1.0)
+    return RateReport(None, rate, rate, True, "always (parametric)")
 
 
-def theoretical_testing_radius(reg: RegimeSpec, n: int = 0) -> RateReport:
+def theoretical_testing_radius(cls: SmoothnessClass, eps: NoiseModel) -> RateReport:
     """Closed-form order of the minimax radius of testing (squared scale
     is this value; the table reports rho*^2). There is no elbow: testing
     never accelerates to a parametric rate in the ordinary/mild regime.
     """
-    s, p = reg.s, reg.p
-    if reg.smoothness == "ordinary" and reg.illposedness == "mild":
+    row = _tabulated(cls, eps, "radius")
+    s, p = cls.s, eps.p
+    if row == "ordinary/mild":
         rate = OrderDescriptor(-4.0 * s / (4.0 * s + 4.0 * p + 1.0))
-        return RateReport(reg, rate, None, rate, False, "no elbow for testing")
-    if reg.smoothness == "ordinary" and reg.illposedness == "severe":
+    elif row == "ordinary/severe":
         rate = OrderDescriptor(0.0, -2.0 * s / p)
-        return RateReport(reg, rate, None, rate, False, "no elbow for testing")
-    if reg.smoothness == "super" and reg.illposedness == "mild":
+    else:
         rate = OrderDescriptor(-1.0, (4.0 * p + 1.0) / (2.0 * s))
-        return RateReport(reg, rate, None, rate, False, "no elbow for testing")
-    raise ValueError("no tabulated radius for super-smooth against severe noise")
+    return RateReport(rate, None, rate, False, "no elbow for testing")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ generators from (master seed, index) spawn keys, never from shared state.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,22 +33,14 @@ __all__ = [
     "sample_batch",
     "sample_model",
     "sample_observed",
-    "save_csv",
-    "load_csv",
-    "save_binary",
-    "load_binary",
 ]
-
-_BINARY_MAGIC = b"CDCS"
 
 
 @dataclass(frozen=True, eq=False)
 class CircularSample:
-    """n observations in [0, 1) plus their provenance."""
+    """n observations in [0, 1)."""
 
     values: np.ndarray
-    seed: int
-    provenance: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -119,8 +110,7 @@ def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:
 def sample_density(f: FourierDensity, n: int, rng) -> np.ndarray:
     """Draw n i.i.d. points from a certified-nonnegative density.
 
-    Returns a bare array; wrap in CircularSample at the call site where
-    provenance is known.
+    Returns a bare array; wrap in CircularSample at the call site.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -183,13 +173,10 @@ def sample_model(f: FourierDensity, eps: NoiseModel, n: int, rng) -> CircularSam
     gen = rng.generator() if isinstance(rng, Rng) else rng
     x = sample_density(f, n, gen)
     e = sample_density(eps.density, n, gen)
-    seed = rng.seed if isinstance(rng, Rng) else -1
-    return CircularSample(wrap_add(x, e), seed=seed, provenance="model")
+    return CircularSample(wrap_add(x, e))
 
 
-def sample_observed(
-    f: FourierDensity, eps: NoiseModel, n: int, rng, provenance: str = "observed"
-) -> CircularSample:
+def sample_observed(f: FourierDensity, eps: NoiseModel, n: int, rng) -> CircularSample:
     """Sample Y directly from g = f (*) eps.
 
     Statistically identical to sample_model but only requires the noise
@@ -199,39 +186,5 @@ def sample_observed(
         raise ValueError("need n >= 2")
     g = observed_density(f, eps)
     gen = rng.generator() if isinstance(rng, Rng) else rng
-    seed = rng.seed if isinstance(rng, Rng) else -1
-    return CircularSample(sample_density(g, n, gen), seed=seed, provenance=provenance)
+    return CircularSample(sample_density(g, n, gen))
 
-
-# -- persistence -------------------------------------------------------
-
-
-def save_csv(sample: CircularSample, path):
-    with open(path, "w") as fh:
-        for v in sample.values:
-            fh.write(f"{v:.17g}\n")
-
-
-def load_csv(path, seed: int = 0, provenance: str = "external-data") -> CircularSample:
-    vals = np.loadtxt(path, dtype=float, ndmin=1)
-    return CircularSample(vals, seed=seed, provenance=provenance)
-
-
-def save_binary(sample: CircularSample, path):
-    """Binary layout: magic, n (uint64), seed (int64), then n doubles."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<Qq", sample.n, sample.seed))
-        fh.write(sample.values.astype("<f8").tobytes())
-
-
-def load_binary(path) -> CircularSample:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a circdeconv sample file")
-        n, seed = struct.unpack("<Qq", fh.read(16))
-        vals = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if vals.size != n:
-            raise ValueError("truncated sample file")
-    return CircularSample(vals, seed=seed, provenance="binary-file")

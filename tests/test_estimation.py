@@ -3,7 +3,6 @@ import pytest
 
 from circdeconv.errors import DimensionNotFound
 from circdeconv.estimation import (
-    empirical_coeffs,
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
@@ -21,37 +20,22 @@ from circdeconv.sampling import CircularSample, Rng, sample_batch
 
 
 class TestEmpiricalCoeffs:
-    def test_point_mass_at_zero(self):
-        emp = empirical_coeffs(np.zeros(10), 4)
-        assert np.allclose(emp.coeffs, 1.0)
+    """Rows of empirical_coeffs_batch: g_hat_1..g_hat_j_max of each sample."""
 
-    def test_zero_frequency_always_one(self):
-        emp = empirical_coeffs(Rng(0).generator().random(30), 5)
-        assert emp.coeffs[0] == 1.0
+    def test_point_mass_at_zero(self):
+        rows = empirical_coeffs_batch(np.zeros((1, 10)), 4)
+        assert np.allclose(rows, 1.0)
 
     def test_matches_naive_double_loop(self):
         vals = Rng(1).generator().random(64)
-        emp = empirical_coeffs(vals, 8)
-        for j in range(9):
+        rows = empirical_coeffs_batch(vals[np.newaxis, :], 8)
+        for j in range(1, 9):
             naive = np.mean([np.exp(-2j * np.pi * j * y) for y in vals])
-            assert abs(emp.coeffs[j] - naive) < 1e-12
+            assert abs(rows[0, j - 1] - naive) < 1e-12
 
     def test_modulus_at_most_one(self):
-        emp = empirical_coeffs(Rng(2).generator().random(50), 20)
-        assert np.all(np.abs(emp.coeffs) <= 1.0 + 1e-12)
-
-    def test_batch_matches_single(self):
-        y = Rng(3).generator().random((4, 30))
-        batch = empirical_coeffs_batch(y, 6)
-        for b in range(4):
-            single = empirical_coeffs(y[b], 6)
-            assert np.allclose(batch[b], single.coeffs[1:], atol=1e-14)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            empirical_coeffs(np.array([]), 2)
-        with pytest.raises(ValueError):
-            empirical_coeffs(np.array([0.1]), 0)
+        rows = empirical_coeffs_batch(Rng(2).generator().random(50)[np.newaxis, :], 20)
+        assert np.all(np.abs(rows) <= 1.0 + 1e-12)
 
 
 class TestUnbiasedSqModulus:
@@ -131,7 +115,7 @@ class TestEstimateQ:
 
     def test_accepts_circular_sample(self):
         eps = NoiseModel.mild(1.0)
-        s = CircularSample(Rng(11).generator().random(20), seed=11)
+        s = CircularSample(Rng(11).generator().random(20))
         assert estimate_q(s, eps, 2) == pytest.approx(estimate_q(s.values, eps, 2))
 
 

@@ -43,6 +43,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(k_rule="0")
 
+    def test_integral_floats_accepted_as_given(self):
+        # kept as given, so the config_hash of a config with 64.0 is unchanged
+        cfg = ExperimentConfig(n_grid=(64.0,), noise_max_freq=64.0, threads=2.0, k_rule=2.0)
+        assert cfg.n_grid == (64,)
+        assert (cfg.noise_max_freq, cfg.threads, cfg.k_rule) == (64.0, 2.0, 2.0)
+        assert isinstance(cfg.noise_max_freq, float) and isinstance(cfg.k_rule, float)
+
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError, match="smoothness"):
             ExperimentConfig(smoothness="supersmooth")
@@ -268,6 +275,9 @@ class TestCli:
         assert res.returncode == 0
         out = json.loads(res.stdout)
         assert out["estimation_elbow"] is True
+        res = self._run("rates", "--smoothness", "super", "--noise", "severe")
+        assert res.returncode == 2
+        assert "no tabulated" in res.stderr
 
     def test_usage_error_exit_code(self):
         res = self._run("estimate")  # missing data argument
@@ -287,7 +297,19 @@ class TestCli:
         assert report.kind == "risk"
 
     @pytest.mark.parametrize(
-        "bad", [{"replicatons": 50}, {"smoothness": "super-smooth"}, {"illposedness": "sever"}]
+        "bad",
+        [
+            {"replicatons": 50},
+            {"smoothness": "super-smooth"},
+            {"illposedness": "sever"},
+            {"replications": 10.5},
+            {"n_grid": 64},
+            {"threads": "2"},
+            {"n_grid": [64.9]},
+            {"k_rule": 2.5},
+            {"scenarios": []},
+            {"n_grid": []},
+        ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from circdeconv.fourier import NoiseModel, SmoothnessClass
+from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
 from circdeconv.rates import (
-    RegimeSpec,
     base_term,
     fit_log_rate,
     fit_rate,
@@ -15,67 +14,74 @@ from circdeconv.rates import (
 DYADIC = [2 ** e for e in range(8, 23)]
 
 
-class TestRegimeSpec:
-    def test_parameter_constraints(self):
-        with pytest.raises(ValueError):
-            RegimeSpec("ordinary", 0.5, "mild", 1.0)
-        with pytest.raises(ValueError):
-            RegimeSpec("super", -1.0, "mild", 1.0)
-        with pytest.raises(ValueError):
-            RegimeSpec("ordinary", 1.0, "mild", 0.5)
-        with pytest.raises(ValueError):
-            RegimeSpec("ordinary", 1.0, "severe", 0.0)
-        RegimeSpec("super", 0.1, "severe", 0.1)
+def regime(smoothness, s, noise, p):
+    """The (SmoothnessClass, NoiseModel) pair of one rate-table row."""
+    build = SmoothnessClass.ordinary if smoothness == "ordinary" else SmoothnessClass.supersmooth
+    cls = build(s)
+    eps = NoiseModel.mild(p) if noise == "mild" else NoiseModel.severe(p)
+    return cls, eps
 
 
 class TestTheoreticalTables:
     def test_estimation_ordinary_mild(self):
-        rep = theoretical_estimation_rate(RegimeSpec("ordinary", 1.0, "mild", 1.0))
+        rep = theoretical_estimation_rate(*regime("ordinary", 1.0, "mild", 1.0))
         assert rep.rate.n_exp == pytest.approx(-8.0 / 9.0)
         assert not rep.elbow
 
     def test_estimation_elbow(self):
-        rep = theoretical_estimation_rate(RegimeSpec("ordinary", 2.0, "mild", 1.0))
+        rep = theoretical_estimation_rate(*regime("ordinary", 2.0, "mild", 1.0))
         assert rep.elbow
         assert rep.rate.n_exp == pytest.approx(-1.0)
 
     def test_estimation_ordinary_severe(self):
-        rep = theoretical_estimation_rate(RegimeSpec("ordinary", 1.0, "severe", 2.0))
+        rep = theoretical_estimation_rate(*regime("ordinary", 1.0, "severe", 2.0))
         assert rep.rate.n_exp == 0.0
         assert rep.rate.log_exp == pytest.approx(-2.0)
 
     def test_estimation_super_mild_parametric(self):
-        rep = theoretical_estimation_rate(RegimeSpec("super", 1.0, "mild", 1.0))
+        rep = theoretical_estimation_rate(*regime("super", 1.0, "mild", 1.0))
         assert rep.rate.n_exp == pytest.approx(-1.0)
 
     def test_testing_ordinary_mild(self):
-        rep = theoretical_testing_radius(RegimeSpec("ordinary", 1.0, "mild", 1.0))
+        rep = theoretical_testing_radius(*regime("ordinary", 1.0, "mild", 1.0))
         assert rep.rate.n_exp == pytest.approx(-4.0 / 9.0)
         assert not rep.elbow
 
     def test_testing_never_has_elbow(self):
         for reg in (
-            RegimeSpec("ordinary", 2.0, "mild", 1.0),
-            RegimeSpec("ordinary", 1.0, "severe", 1.0),
-            RegimeSpec("super", 1.0, "mild", 1.0),
+            regime("ordinary", 2.0, "mild", 1.0),
+            regime("ordinary", 1.0, "severe", 1.0),
+            regime("super", 1.0, "mild", 1.0),
         ):
-            assert not theoretical_testing_radius(reg).elbow
+            assert not theoretical_testing_radius(*reg).elbow
 
     def test_testing_ordinary_severe(self):
-        rep = theoretical_testing_radius(RegimeSpec("ordinary", 1.0, "severe", 1.0))
+        rep = theoretical_testing_radius(*regime("ordinary", 1.0, "severe", 1.0))
         assert rep.rate.log_exp == pytest.approx(-2.0)
 
     def test_testing_super_mild_log_factor(self):
-        rep = theoretical_testing_radius(RegimeSpec("super", 1.0, "mild", 1.0))
+        rep = theoretical_testing_radius(*regime("super", 1.0, "mild", 1.0))
         assert rep.rate.n_exp == pytest.approx(-1.0)
         assert rep.rate.log_exp == pytest.approx(2.5)
 
     def test_untabulated_regime_rejected(self):
-        reg = RegimeSpec("super", 1.0, "severe", 1.0)
-        with pytest.raises(ValueError):
-            theoretical_estimation_rate(reg)
-        with pytest.raises(ValueError):
-            theoretical_testing_radius(reg)
+        reg = regime("super", 1.0, "severe", 1.0)
+        with pytest.raises(ValueError, match="no tabulated"):
+            theoretical_estimation_rate(*reg)
+        with pytest.raises(ValueError, match="no tabulated"):
+            theoretical_testing_radius(*reg)
+
+    def test_explicit_kinds_rejected(self):
+        explicit_cls = SmoothnessClass.from_sequence(lambda j: j ** -2.0)
+        explicit_eps = NoiseModel.from_density(FourierDensity.from_tail([0.3, 0.1]))
+        for reg in (
+            (explicit_cls, NoiseModel.mild(1.0)),
+            (SmoothnessClass.ordinary(1.0), explicit_eps),
+        ):
+            with pytest.raises(ValueError, match="no tabulated"):
+                theoretical_estimation_rate(*reg)
+            with pytest.raises(ValueError, match="no tabulated"):
+                theoretical_testing_radius(*reg)
 
 
 class TestBaseTerm:

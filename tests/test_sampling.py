@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from circdeconv.errors import CertificationError
+from circdeconv.cli import main as cli_main
+from circdeconv.errors import CertificationError, IngestError
 from circdeconv.fourier import FourierDensity, NoiseModel
+from circdeconv.harness import ingest_circular_data
 from circdeconv.sampling import (
     CircularSample,
     Rng,
-    load_binary,
-    load_csv,
     sample_batch,
     sample_density,
     sample_model,
     sample_observed,
-    save_binary,
-    save_csv,
     wrap_add,
 )
 
@@ -47,17 +45,17 @@ class TestWrapAdd:
 class TestCircularSample:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            CircularSample(np.array([0.5, 1.0]), seed=0)
+            CircularSample(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            CircularSample(np.array([-0.1]), seed=0)
+            CircularSample(np.array([-0.1]))
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                CircularSample(np.array([0.5, bad]), seed=0)
+                CircularSample(np.array([0.5, bad]))
 
     def test_values_frozen(self):
-        s = CircularSample(np.array([0.1, 0.2]), seed=0)
+        s = CircularSample(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             s.values[0] = 0.9
 
@@ -173,39 +171,20 @@ class TestSampleModel:
 
 
 class TestPersistence:
-    def test_csv_round_trip(self, tmp_path):
-        s = CircularSample(Rng(8).generator().random(20), seed=8)
-        path = tmp_path / "s.csv"
-        save_csv(s, path)
-        loaded = load_csv(path, seed=8)
-        assert np.allclose(loaded.values, s.values, atol=1e-16)
+    """The unit-value file: one observation per line, written by
+    `circdeconv ingest` and read by ingest_circular_data."""
 
-    def test_binary_round_trip_exact(self, tmp_path):
-        s = CircularSample(Rng(8).generator().random(20), seed=8)
-        path = tmp_path / "s.bin"
-        save_binary(s, path)
-        loaded = load_binary(path)
-        assert np.array_equal(loaded.values, s.values)
-        assert loaded.seed == 8
+    def test_csv_round_trip(self, tmp_path):
+        values = Rng(8).generator().random(20)
+        src, out = tmp_path / "s.txt", tmp_path / "unit.txt"
+        src.write_text("\n".join(repr(v) for v in values.tolist()) + "\n")
+        assert cli_main(["ingest", str(src), "--out", str(out)]) == 0
+        assert np.array_equal(ingest_circular_data(out).values, values)
 
     def test_csv_with_nan_rejected(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        path.write_text("0.25\nnan\n0.5\n")
-        with pytest.raises(ValueError):
-            load_csv(path)
-
-    def test_binary_with_nan_rejected(self, tmp_path):
-        s = CircularSample(np.array([0.25, 0.5]), seed=8)
-        path = tmp_path / "nan.bin"
-        save_binary(s, path)
-        raw = bytearray(path.read_bytes())
-        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_binary(path)
-
-    def test_binary_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a sample")
-        with pytest.raises(ValueError):
-            load_binary(path)
+        path = tmp_path / "nan.txt"
+        path.write_text("0.25\n" * 100 + "nan\n" + "0.5\n" * 100)
+        assert np.array_equal(ingest_circular_data(path).values, [0.25] * 100 + [0.5] * 100)
+        path.write_text("nan\nnan\n")
+        with pytest.raises(IngestError):
+            ingest_circular_data(path)

@@ -1,6 +1,7 @@
 """Module structure: imports at module level only, the sequence theory in
-`rates` depends on no analysis module, and every package export is
-declared in the `__all__` of the module it comes from."""
+`rates` depends on no analysis module, every package export is declared
+in the `__all__` of the module it comes from, and every module attribute
+the benchmark tracer wraps still exists."""
 
 import ast
 import importlib
@@ -50,4 +51,40 @@ def test_package_exports_declared_in_home_module():
             missing += [
                 f"{node.module}.{a.name}" for a in node.names if a.name not in home.__all__
             ]
+    assert missing == []
+
+
+# The names perfbench/launch.py wraps, by the module it looks them up in.
+# A missing one would leave its per-layer metric silently empty.
+TRACED = {
+    "harness": [
+        "sample_batch",
+        "estimate_q_batch",
+        "optimal_dim_est",
+        "calibrate",
+        "build_hypercube",
+        "optimal_two_point_freq",
+        "build_two_point",
+    ],
+    "estimation": ["empirical_coeffs_batch"],
+    "cli": [
+        "estimate_q",
+        "run_test",
+        "ingest_circular_data",
+        "emit_report",
+        "_write_out",
+        "calibrate",
+    ],
+    "testing": ["estimate_q"],
+    "rates": ["base_term"],
+}
+
+
+def test_traced_names_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, names in TRACED.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"circdeconv.{module}"), name)
+    ]
     assert missing == []
