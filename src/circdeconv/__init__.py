@@ -39,7 +39,6 @@ from .harness import (
     ExperimentReport,
     emit_report,
     ingest_circular_data,
-    load_report,
     run_risk_experiment,
     run_test_experiment,
 )
@@ -76,16 +75,11 @@ from .sampling import (
     CircularSample,
     Rng,
     sample_batch,
-    sample_density,
-    sample_model,
-    sample_observed,
-    wrap_add,
 )
 from .testing import (
     TestCalibration,
     TestResult,
     calibrate,
-    custom_calibration,
     run_test,
 )
 

@@ -165,13 +165,13 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_simulate_risk(args) -> int:
     report = run_risk_experiment(_load_config(args))
-    _write_out(emit_report(report, None, args.format), args.out)
+    _write_out(emit_report(report, args.format), args.out)
     return 0
 
 
 def cmd_simulate_test(args) -> int:
     report = run_test_experiment(_load_config(args))
-    _write_out(emit_report(report, None, args.format), args.out)
+    _write_out(emit_report(report, args.format), args.out)
     return 0
 
 

@@ -272,11 +272,6 @@ class SmoothnessClass:
             raise ValueError("a_j must be nonnegative")
         return vals
 
-    def check_monotone(self, j_max: int) -> bool:
-        """Verify a_j is non-increasing on the prefix 1..j_max."""
-        vals = self.a(np.arange(1, j_max + 1))
-        return bool(np.all(np.diff(vals) <= 1e-15))
-
     def l_a(self, truncation: int = SEQUENCE_SUM_TRUNCATION) -> float:
         """L_a = 2 sum_j a_j^2, the constant controlling density certification
         of hypercube hypotheses.

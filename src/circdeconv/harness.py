@@ -18,7 +18,6 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "resolve_k",
     "ingest_circular_data",
     "emit_report",
-    "load_report",
 ]
 
 _BATCH_SIZE = 128
@@ -69,10 +67,12 @@ class ExperimentConfig:
     constants. k_rule is "kappa_star" or a fixed integer level.
     noise_max_freq truncates the noise density used for sampling.
 
-    Construction only validates: a wrongly typed, fractional or empty
-    value raises a ValueError naming its field. replications and seed take
-    an int; threads, noise_max_freq, the n in n_grid and a fixed k_rule
-    also take an integral float such as 64.0.
+    Construction only validates: a wrongly typed, fractional, empty or
+    out-of-range value raises a ValueError naming its field. replications
+    is at least 2, so that every row has a standard error, and threads at
+    least 1. replications and seed take an int; threads, noise_max_freq,
+    the n in n_grid and a fixed k_rule also take an integral float such
+    as 64.0.
     """
 
     smoothness: str = "ordinary"
@@ -113,8 +113,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
         for n in self.n_grid:
             _check_integer("n in n_grid", n)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if self.replications < 2:
+            raise ValueError("replications must be >= 2")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("every n in n_grid must be >= 2")
         if not 0 < self.alpha < 1:
@@ -190,10 +192,6 @@ class ExperimentReport:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "rows": [dict(r) for r in self.rows], "metadata": self.metadata}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(kind=d["kind"], rows=tuple(d["rows"]), metadata=d["metadata"])
-
     def report_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -202,19 +200,19 @@ class ExperimentReport:
 # -- Monte Carlo engine -------------------------------------------------
 
 
-def _run_batches(sampler, n: int, reps: int, rng: Rng, threads: int, statistic):
-    """Evaluate a per-replication statistic over reps draws.
+def _q_hats(sampler, n: int, reps: int, rng: Rng, threads: int, eps: NoiseModel, k: int):
+    """q_hat_k of reps independent n-samples, in replication order.
 
-    sampler(gen, batch_size, n) -> (batch_size, n) observation matrix;
-    statistic(y) -> length-batch vector. Batches are dispatched to a
-    thread pool but reduced in index order for determinism.
+    sampler(gen, batch_size, n) -> (batch_size, n) observation matrix.
+    Batches are dispatched to a thread pool but concatenated in index
+    order for determinism.
     """
     n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
 
     def one_batch(b):
         size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
         gen = rng.child(b).generator()
-        return statistic(sampler(gen, size, n))
+        return estimate_q_batch(sampler(gen, size, n), eps, k)
 
     if threads <= 1:
         parts = [one_batch(b) for b in range(n_batches)]
@@ -222,6 +220,11 @@ def _run_batches(sampler, n: int, reps: int, rng: Rng, threads: int, statistic):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_batch, range(n_batches)))
     return np.concatenate(parts)
+
+
+def _mean_se(x: np.ndarray):
+    """Mean and standard error sd / sqrt(reps) of per-replication values."""
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
 
 def _null_sampler(gen, size, n):
@@ -309,22 +312,16 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for s_idx, name in enumerate(cfg.scenarios):
             sampler, q_true = scen[name]
             rng = Rng(cfg.seed, (s_idx, n_idx))
-            sq_err = _run_batches(
-                sampler,
-                n,
-                cfg.replications,
-                rng,
-                cfg.threads,
-                lambda y: (estimate_q_batch(y, eps, k) - q_true) ** 2,
-            )
+            q_hat = _q_hats(sampler, n, cfg.replications, rng, cfg.threads, eps, k)
+            risk, risk_se = _mean_se((q_hat - q_true) ** 2)
             rows.append(
                 {
                     "n": n,
                     "scenario": name,
                     "k": k,
                     "q_true": q_true,
-                    "risk": float(sq_err.mean()),
-                    "risk_se": float(sq_err.std(ddof=1) / np.sqrt(sq_err.size)),
+                    "risk": risk,
+                    "risk_se": risk_se,
                     "nu_k_sq": nu_k_sq(eps, n, k),
                 }
             )
@@ -357,16 +354,8 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         thr = cal.C_alpha * nu_k_sq(eps, n, k)
         rho_sq = radius_upper(cls, eps, n, k)
         rng0 = Rng(cfg.seed, (0, n_idx))
-        rejected = _run_batches(
-            _null_sampler,
-            n,
-            cfg.replications,
-            rng0,
-            cfg.threads,
-            lambda y: (estimate_q_batch(y, eps, k) >= thr).astype(float),
-        )
-        type1 = float(rejected.mean())
-        se1 = float(rejected.std(ddof=1) / np.sqrt(rejected.size))
+        q_hat = _q_hats(_null_sampler, n, cfg.replications, rng0, cfg.threads, eps, k)
+        type1, se1 = _mean_se((q_hat >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
         at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
         rows.append({**at_n, "A": 0.0, "se": se1})
@@ -382,22 +371,16 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
             rng1 = Rng(cfg.seed, (1 + a_idx, n_idx))
-            accepted = _run_batches(
-                _mixture_sampler(theta_obs_base * scale),
-                n,
-                cfg.replications,
-                rng1,
-                cfg.threads,
-                lambda y: (estimate_q_batch(y, eps, k) < thr).astype(float),
-            )
-            type2 = float(accepted.mean())
+            sampler = _mixture_sampler(theta_obs_base * scale)
+            q_hat = _q_hats(sampler, n, cfg.replications, rng1, cfg.threads, eps, k)
+            type2, se2 = _mean_se((q_hat < thr).astype(float))
             rows.append(
                 {
                     **at_n,
                     "A": a_mult,
                     "type2": type2,
                     "error_sum": type1 + type2,
-                    "se": float(accepted.std(ddof=1) / np.sqrt(accepted.size)),
+                    "se": se2,
                     "feasible": True,
                 }
             )
@@ -478,10 +461,9 @@ _CSV_COLUMNS = {
 }
 
 
-def emit_report(report: ExperimentReport, path: Optional[str], fmt: str = "json") -> str:
+def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
     """Serialize a report to JSON (lossless) or CSV (rows only, with a
-    stable documented column order). Returns the serialized text; writes
-    it to path when given."""
+    stable documented column order) and return the text."""
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     elif fmt == "csv":
@@ -494,12 +476,4 @@ def emit_report(report: ExperimentReport, path: Optional[str], fmt: str = "json"
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
-
-
-def load_report(path) -> ExperimentReport:
-    with open(path) as fh:
-        return ExperimentReport.from_json_dict(json.load(fh))

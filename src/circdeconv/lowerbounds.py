@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
 from .rates import nu_k_sq, optimal_dim_est
-from .sampling import Rng, sample_batch
 
 __all__ = [
     "HypercubeFamily",
@@ -94,15 +93,6 @@ class HypercubeFamily:
     def observed_coeffs(self, eps: NoiseModel) -> np.ndarray:
         """Observation-space magnitudes theta_j |eps_j| for j = 1..kappa."""
         return self.base_coeffs * eps.modulus(np.arange(1, self.kappa + 1))
-
-    def sample_mixture(self, eps: NoiseModel, n: int, reps: int, rng: Rng) -> np.ndarray:
-        """Draw reps independent n-samples from the uniform mixture over
-        vertices convolved with the noise: per replication a sign vector
-        tau is drawn uniformly, then Y ~ f^tau (*) eps. Returns (reps, n).
-        """
-        gen = rng.generator()
-        taus = gen.choice([-1.0, 1.0], size=(reps, self.kappa))
-        return sample_batch(taus * self.observed_coeffs(eps), n, gen)
 
 
 def build_hypercube(
@@ -230,7 +220,6 @@ class TwoPointPair:
     eps_m: float
     separation_sq: float  # (p^2 - q^2)^2 = 64 xi^2 C^4 a_m^4
     conv_diff_sq: float  # per-frequency value 4 C^2 xi^2 a_m^2 |eps_m|^2
-    conv_diff_sq_exact: float  # full squared L2 norm, both frequencies
 
 
 def build_two_point(cls: SmoothnessClass, eps: NoiseModel, n: int, m: int) -> TwoPointPair:
@@ -290,7 +279,6 @@ def build_two_point(cls: SmoothnessClass, eps: NoiseModel, n: int, m: int) -> Tw
         eps_m=eps_m,
         separation_sq=sep_closed,
         conv_diff_sq=conv_diff,
-        conv_diff_sq_exact=2.0 * conv_diff,
     )
 
 

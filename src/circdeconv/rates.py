@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -192,15 +191,9 @@ class OrderDescriptor:
     n_exp: float
     log_exp: float = 0.0
 
-    def value(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        return n ** self.n_exp * np.log(n) ** self.log_exp
-
 
 @dataclass(frozen=True)
 class RateReport:
-    r_star4: Optional[OrderDescriptor]
-    base: Optional[OrderDescriptor]
     rate: OrderDescriptor
     elbow: bool
     elbow_condition: str
@@ -228,14 +221,13 @@ def theoretical_estimation_rate(cls: SmoothnessClass, eps: NoiseModel) -> RateRe
     if row == "ordinary/mild":
         elbow = s - p >= 0.25
         r4 = OrderDescriptor(-8.0 * s / (4.0 * s + 4.0 * p + 1.0))
-        b = OrderDescriptor(-1.0)
-        rate = b if elbow else r4
-        return RateReport(r4, b, rate, elbow, "s - p >= 1/4")
+        rate = OrderDescriptor(-1.0) if elbow else r4
+        return RateReport(rate, elbow, "s - p >= 1/4")
     if row == "ordinary/severe":
         rate = OrderDescriptor(0.0, -4.0 * s / p)
-        return RateReport(rate, OrderDescriptor(-1.0), rate, False, "never (log regime)")
+        return RateReport(rate, False, "never (log regime)")
     rate = OrderDescriptor(-1.0)
-    return RateReport(None, rate, rate, True, "always (parametric)")
+    return RateReport(rate, True, "always (parametric)")
 
 
 def theoretical_testing_radius(cls: SmoothnessClass, eps: NoiseModel) -> RateReport:
@@ -251,7 +243,7 @@ def theoretical_testing_radius(cls: SmoothnessClass, eps: NoiseModel) -> RateRep
         rate = OrderDescriptor(0.0, -2.0 * s / p)
     else:
         rate = OrderDescriptor(-1.0, (4.0 * p + 1.0) / (2.0 * s))
-    return RateReport(rate, None, rate, False, "no elbow for testing")
+    return RateReport(rate, False, "no elbow for testing")
 
 
 @dataclass(frozen=True)

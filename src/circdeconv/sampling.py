@@ -22,17 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .fourier import FourierDensity, NoiseModel, observed_density
 
 __all__ = [
     "CircularSample",
     "Rng",
     "as_values",
-    "wrap_add",
-    "sample_density",
     "sample_batch",
-    "sample_model",
-    "sample_observed",
 ]
 
 
@@ -84,13 +79,6 @@ class Rng:
         return Rng(self.seed, self.spawn_key + tuple(indices))
 
 
-def wrap_add(x, e):
-    """Addition on the circle: fractional part of x + e, in [0, 1)."""
-    s = np.asarray(x, dtype=float) + np.asarray(e, dtype=float)
-    out = s - np.floor(s)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-
-
 def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:
     """size draws from the density 1 - cos(2 pi z) = 2 sin^2(pi z) on [0, 1].
 
@@ -105,17 +93,6 @@ def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:
     z = np.arccos(t, out=t)
     z /= np.pi
     return z
-
-
-def sample_density(f: FourierDensity, n: int, rng) -> np.ndarray:
-    """Draw n i.i.d. points from a certified-nonnegative density.
-
-    Returns a bare array; wrap in CircularSample at the call site.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    return sample_batch(f.coeffs[np.newaxis, 1:], n, gen)[0]
 
 
 def sample_batch(coeff_rows: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -162,29 +139,3 @@ def sample_batch(coeff_rows: np.ndarray, n: int, gen: np.random.Generator) -> np
         x -= np.floor(x)
         flat[idx] = x
     return out
-
-
-def sample_model(f: FourierDensity, eps: NoiseModel, n: int, rng) -> CircularSample:
-    """Simulate the convolution model: Y = X + eps mod 1, X ~ f, eps ~ noise."""
-    if n < 2:
-        raise ValueError("model simulation needs n >= 2")
-    if eps.density is None:
-        raise CertificationError("noise model carries no density to sample from")
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    x = sample_density(f, n, gen)
-    e = sample_density(eps.density, n, gen)
-    return CircularSample(wrap_add(x, e))
-
-
-def sample_observed(f: FourierDensity, eps: NoiseModel, n: int, rng) -> CircularSample:
-    """Sample Y directly from g = f (*) eps.
-
-    Statistically identical to sample_model but only requires the noise
-    modulus, not a sampleable noise density.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    g = observed_density(f, eps)
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    return CircularSample(sample_density(g, n, gen))
-

@@ -24,7 +24,6 @@ __all__ = [
     "TestCalibration",
     "TestResult",
     "calibrate",
-    "custom_calibration",
     "run_test",
 ]
 
@@ -83,16 +82,6 @@ def calibrate(alpha: float, eps: NoiseModel, R: float) -> TestCalibration:
     a_t = c + (2.0 / alpha) * float(np.sqrt(12.0 * e ** 2 / alpha + e))
     a_bar = float(np.sqrt(R ** 2 + a_t ** 2))
     return TestCalibration(alpha=alpha, C_alpha=c, A_tilde=a_t, A_bar=a_bar, eps_sup=e)
-
-
-def custom_calibration(
-    alpha: float, C_alpha: float, A_tilde: float, eps: NoiseModel, R: float
-) -> TestCalibration:
-    """Any user-chosen (C, A_tilde) passing the guarantee inequalities."""
-    a_bar = float(np.sqrt(R ** 2 + A_tilde ** 2))
-    return TestCalibration(
-        alpha=alpha, C_alpha=C_alpha, A_tilde=A_tilde, A_bar=a_bar, eps_sup=eps.sup_norm
-    )
 
 
 @dataclass(frozen=True)

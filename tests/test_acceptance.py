@@ -44,18 +44,14 @@ from circdeconv import (
     radius_upper,
     run_risk_experiment,
     run_test_experiment,
-    sample_density,
+    sample_batch,
     truncated_functional,
     u_statistic_form,
 )
+from circdeconv.fourier import observed_density
 
 MILD = NoiseModel.mild(1.0)
 SEVERE = NoiseModel.severe(1.0)
-
-
-def _observed(f: FourierDensity, eps: NoiseModel) -> FourierDensity:
-    j = np.arange(1, f.max_freq + 1)
-    return FourierDensity.from_tail(f.coeffs[1:] * eps.modulus(j))
 
 
 def _report(label: str, ok: bool, detail: str) -> bool:
@@ -80,7 +76,8 @@ def test_criterion_01_estimator_unbiased():
     zs = []
     for i, (n, k, eps) in enumerate(configs):
         gen = Rng(101).child(i).generator()
-        y = sample_density(_observed(f, eps), reps * n, gen).reshape(reps, n)
+        g = observed_density(f, eps)
+        y = sample_batch(g.coeffs[np.newaxis, 1:], reps * n, gen).reshape(reps, n)
         qhat = estimate_q_batch(y, eps, k)
         se = qhat.std(ddof=1) / np.sqrt(reps)
         zs.append((qhat.mean() - truncated_functional(f, k)) / se)
@@ -247,8 +244,11 @@ def test_criterion_05_lower_bound_indistinguishability():
         Rng(505).child(0).generator().random((reps, n)), eps, fam.kappa
     )
     t1 = float(np.mean(null_stats >= thr))
+    # per replication a uniform sign vector tau, then Y ~ f^tau (*) eps
+    gen = Rng(505).child(1).generator()
+    taus = gen.choice([-1.0, 1.0], size=(reps, fam.kappa))
     alt_stats = estimate_q_batch(
-        fam.sample_mixture(eps, n, reps, Rng(505).child(1)), eps, fam.kappa
+        sample_batch(taus * fam.observed_coeffs(eps), n, gen), eps, fam.kappa
     )
     t2 = float(np.mean(alt_stats < thr))
     sigma = np.sqrt(t1 * (1 - t1) / reps + t2 * (1 - t2) / reps)
@@ -405,7 +405,7 @@ def test_criterion_11_thread_count_determinism():
         r1 = runner(ExperimentConfig(threads=1, **base))
         r8 = runner(ExperimentConfig(threads=8, **base))
         pairs.append(
-            emit_report(r1, None, "json").encode() == emit_report(r8, None, "json").encode()
+            emit_report(r1, "json").encode() == emit_report(r8, "json").encode()
         )
     ok = all(pairs)
     assert _report(

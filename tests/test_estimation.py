@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circdeconv.errors import DimensionNotFound
 from circdeconv.estimation import (
@@ -12,6 +14,7 @@ from circdeconv.fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
+    observed_density,
     quadratic_functional,
     truncated_functional,
 )
@@ -70,9 +73,8 @@ class TestUnbiasedSqModulus:
 
 def _observed_matrix(f, eps, reps, n, rng):
     """reps x n draws from g = f (*) eps, all from one sampler call."""
-    j = np.arange(1, f.max_freq + 1)
-    g_tail = f.coeffs[1:] * eps.modulus(j)
-    return sample_batch(g_tail[np.newaxis, :], reps * n, rng.generator()).reshape(reps, n)
+    g = observed_density(f, eps)
+    return sample_batch(g.coeffs[np.newaxis, 1:], reps * n, rng.generator()).reshape(reps, n)
 
 
 class TestEstimateQ:
@@ -130,6 +132,24 @@ class TestUStatisticEquivalence:
         assert estimate_q(vals, eps, k) == pytest.approx(
             u_statistic_form(vals, eps, k), abs=1e-10
         )
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(
+        rows=st.integers(2, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        k=st.integers(1, 6),
+        noise=st.sampled_from([NoiseModel.mild(1.0), NoiseModel.severe(1.0)]),
+    )
+    def test_batch_rows_match_pair_sum(self, rows, k, noise):
+        y = np.array(rows)
+        got = estimate_q_batch(y, noise, k)
+        want = np.array([u_statistic_form(row, noise, k) for row in y])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
 class TestOptimalDim:

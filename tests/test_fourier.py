@@ -160,11 +160,6 @@ class TestSmoothnessClass:
         assert np.allclose(SmoothnessClass.supersmooth(1.0).a(j), np.exp(-j))
         assert np.allclose(SmoothnessClass.ordinary(1.0, scale=2.0).a(j), 2.0 / j)
 
-    def test_monotone_check(self):
-        assert SmoothnessClass.ordinary(1.0).check_monotone(100)
-        growing = SmoothnessClass.from_sequence(lambda j: j.astype(float))
-        assert not growing.check_monotone(10)
-
     def test_l_a_zeta_matches_direct_sum(self):
         cls = SmoothnessClass.ordinary(1.5)
         direct = 2.0 * np.sum(np.arange(1, 10 ** 6, dtype=float) ** -3.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circdeconv
 from circdeconv.errors import IngestError, InvalidDensityError
@@ -15,13 +18,38 @@ from circdeconv.harness import (
     ExperimentReport,
     emit_report,
     ingest_circular_data,
-    load_report,
     run_risk_experiment,
     run_test_experiment,
 )
 from circdeconv.rates import optimal_dim_est
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
+
+_POSITIVE = st.floats(0.01, 10.0)
+# threads, noise_max_freq, n in n_grid and a fixed k_rule also take an
+# integral float, which the config keeps as given
+_INTEGRAL = st.one_of(st.integers(1, 512), st.integers(1, 512).map(float))
+_N = st.integers(2, 10 ** 6)
+_SCENARIO = st.sampled_from(["null", "hypercube", "two_point", "boundary"])
+CONFIGS = st.builds(
+    ExperimentConfig,
+    smoothness=st.sampled_from(["ordinary", "super"]),
+    s=_POSITIVE,
+    illposedness=st.sampled_from(["mild", "severe"]),
+    p=_POSITIVE,
+    a_scale=_POSITIVE,
+    eps_scale=st.floats(0.01, 1.0),
+    radius=_POSITIVE,
+    n_grid=st.lists(st.one_of(_N, _N.map(float)), min_size=1),
+    replications=st.integers(2, 10 ** 5),
+    alpha=st.floats(0.001, 0.999),
+    k_rule=st.one_of(st.just("kappa_star"), _INTEGRAL, st.integers(1, 99).map(str)),
+    seed=st.integers(0, 2 ** 32),
+    threads=_INTEGRAL,
+    noise_max_freq=_INTEGRAL,
+    scenarios=st.lists(_SCENARIO, min_size=1),
+    a_ladder=st.lists(st.floats(0.0, 100.0)),
+)
 
 
 class TestExperimentConfig:
@@ -30,6 +58,13 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_json_dict(
             json.loads(json.dumps(cfg.to_json_dict()))
         )
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(cfg=CONFIGS)
+    def test_json_round_trip_keeps_hash(self, cfg):
+        again = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
@@ -107,7 +142,7 @@ class TestRiskExperiment:
         r8 = run_risk_experiment(ExperimentConfig(threads=8, **base))
         # the parallelism degree is an execution detail, not part of the
         # experiment identity: serialized reports are byte-identical
-        assert emit_report(r1, None, "json") == emit_report(r8, None, "json")
+        assert emit_report(r1, "json") == emit_report(r8, "json")
         assert r1.rows == r8.rows
 
     def test_se_definition(self):
@@ -194,18 +229,17 @@ class TestIngest:
 
 
 class TestReports:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         report = run_risk_experiment(ExperimentConfig(scenarios=("null",), **SMALL))
-        path = tmp_path / "r.json"
-        emit_report(report, path, "json")
-        loaded = load_report(path)
-        assert loaded.to_json_dict() == report.to_json_dict()
-        assert loaded.report_hash() == report.report_hash()
+        loaded = json.loads(emit_report(report, "json"))
+        assert loaded == report.to_json_dict()
+        blob = json.dumps(loaded, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == report.report_hash()
 
     def test_csv_structure(self, tmp_path):
         cfg = ExperimentConfig(a_ladder=(0.1, 0.2), **SMALL)
         report = run_test_experiment(cfg)
-        text = emit_report(report, None, "csv")
+        text = emit_report(report, "csv")
         lines = text.strip().splitlines()
         assert lines[0].startswith("n,A,k,type1")
         # one null row + one row per ladder entry
@@ -293,8 +327,7 @@ class TestCli:
         out = tmp_path / "report.json"
         res = self._run("simulate-risk", "--config", str(cfg), "--out", str(out))
         assert res.returncode == 0
-        report = load_report(out)
-        assert report.kind == "risk"
+        assert json.loads(out.read_text())["kind"] == "risk"
 
     @pytest.mark.parametrize(
         "bad",
@@ -309,6 +342,9 @@ class TestCli:
             {"k_rule": 2.5},
             {"scenarios": []},
             {"n_grid": []},
+            {"replications": 1},
+            {"threads": 0},
+            {"threads": -1},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):

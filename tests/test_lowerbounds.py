@@ -18,7 +18,7 @@ from circdeconv.lowerbounds import (
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
 from circdeconv.rates import find_eta, nu_k_sq, optimal_dim_est, optimal_two_point_freq
-from circdeconv.sampling import Rng
+from circdeconv.sampling import Rng, sample_batch
 
 CLS = SmoothnessClass.ordinary(1.0)
 EPS = NoiseModel.mild(1.0)
@@ -83,7 +83,9 @@ class TestHypercube:
 
     def test_mixture_sampling_first_moment(self):
         fam = build_hypercube(CLS, EPS, 200, 0.5)
-        y = fam.sample_mixture(EPS, 100, 400, Rng(21))
+        gen = Rng(21).generator()
+        taus = gen.choice([-1.0, 1.0], size=(400, fam.kappa))
+        y = sample_batch(taus * fam.observed_coeffs(EPS), 100, gen)
         assert y.shape == (400, 100)
         # mixing over signs kills the first moment of cos at every frequency
         emp = np.mean(np.cos(2 * np.pi * y))

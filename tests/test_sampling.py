@@ -6,17 +6,14 @@ from scipy import stats
 
 from circdeconv.cli import main as cli_main
 from circdeconv.errors import CertificationError, IngestError
-from circdeconv.fourier import FourierDensity, NoiseModel
+from circdeconv.fourier import FourierDensity, NoiseModel, observed_density
 from circdeconv.harness import ingest_circular_data
-from circdeconv.sampling import (
-    CircularSample,
-    Rng,
-    sample_batch,
-    sample_density,
-    sample_model,
-    sample_observed,
-    wrap_add,
-)
+from circdeconv.sampling import CircularSample, Rng, sample_batch
+
+
+def _draw(f: FourierDensity, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n draws from f: the one row of a sample_batch call."""
+    return sample_batch(f.coeffs[np.newaxis, 1:], n, gen)[0]
 
 
 class TestRng:
@@ -30,16 +27,6 @@ class TestRng:
         c2 = Rng(5).child(0, 4)
         assert np.array_equal(c1.generator().random(5), Rng(5).child(0, 3).generator().random(5))
         assert not np.array_equal(c1.generator().random(5), c2.generator().random(5))
-
-
-class TestWrapAdd:
-    def test_wraps_into_unit_interval(self):
-        assert wrap_add(0.7, 0.6) == pytest.approx(0.3)
-        assert wrap_add(0.2, -0.5) == pytest.approx(0.7)
-
-    def test_vectorized(self):
-        out = wrap_add(np.array([0.9, 0.1]), np.array([0.2, 0.2]))
-        assert np.allclose(out, [0.1, 0.3])
 
 
 class TestCircularSample:
@@ -63,40 +50,42 @@ class TestCircularSample:
 class TestSampleDensity:
     def test_refuses_uncertified_density(self):
         with pytest.raises(CertificationError):
-            sample_density(FourierDensity.from_tail([0.8]), 10, Rng(0))
+            _draw(FourierDensity.from_tail([0.8]), 10, Rng(0).generator())
 
     def test_values_in_range(self):
-        vals = sample_density(FourierDensity.from_tail([0.4]), 2000, Rng(1))
+        vals = _draw(FourierDensity.from_tail([0.4]), 2000, Rng(1).generator())
         assert vals.min() >= 0.0 and vals.max() < 1.0
 
     def test_uniform_ks(self):
-        vals = sample_density(FourierDensity.uniform(), 4000, Rng(2))
+        vals = _draw(FourierDensity.uniform(), 4000, Rng(2).generator())
         assert stats.kstest(vals, "uniform").pvalue > 1e-3
 
     def test_nonuniform_ks_against_exact_cdf(self):
         # f(x) = 1 + 2 r cos(2 pi x) has CDF x + (r / pi) sin(2 pi x)
         r = 0.35
-        vals = sample_density(FourierDensity.from_tail([r]), 4000, Rng(3))
+        vals = _draw(FourierDensity.from_tail([r]), 4000, Rng(3).generator())
         cdf = lambda x: x + r / np.pi * np.sin(2 * np.pi * x)
         assert stats.kstest(vals, cdf).pvalue > 1e-3
 
     def test_first_moment_matches_coefficient(self):
         # E exp(-2 pi i Y) = f_1 for Y ~ f
         f = FourierDensity.from_tail([0.3 + 0.1j])
-        vals = sample_density(f, 200_000, Rng(4))
+        vals = _draw(f, 200_000, Rng(4).generator())
         emp = np.mean(np.exp(-2j * np.pi * vals))
         assert abs(emp - f.coeffs[1]) < 0.01
 
     def test_deterministic_given_rng(self):
         f = FourierDensity.from_tail([0.2])
-        assert np.array_equal(sample_density(f, 50, Rng(9)), sample_density(f, 50, Rng(9)))
+        a, b = (_draw(f, 50, Rng(9).generator()) for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_negative_density_refused_by_both_entry_points(self):
+        # refused alone and as one row among certified ones
         bad = FourierDensity.from_tail([0.6])  # 1 + 1.2 cos(2 pi x) dips to -0.2
         with pytest.raises(CertificationError):
-            sample_density(bad, 10, Rng(0))
+            _draw(bad, 10, Rng(0).generator())
         with pytest.raises(CertificationError):
-            sample_batch(bad.coeffs[np.newaxis, 1:], 10, Rng(0).generator())
+            sample_batch(np.array([[0.2], [0.6], [0.1]]), 10, Rng(0).generator())
 
     def test_multifrequency_ks_against_exact_cdf(self):
         # f(x) = 1 + 2 sum_j |f_j| cos(2 pi j x + phi_j) has CDF
@@ -110,7 +99,7 @@ class TestSampleDensity:
             terms = mod / (np.pi * j) * (np.sin(2 * np.pi * j * x + phase) - np.sin(phase))
             return x[:, 0] + terms.sum(axis=1)
 
-        vals = sample_density(FourierDensity.from_tail(tail), 4000, Rng(10))
+        vals = _draw(FourierDensity.from_tail(tail), 4000, Rng(10).generator())
         assert stats.kstest(vals, cdf).pvalue > 1e-3
 
     def test_saturated_certificate(self):
@@ -118,7 +107,7 @@ class TestSampleDensity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                vals = sample_density(FourierDensity.from_tail([0.5]), 20_000, Rng(11))
+                vals = _draw(FourierDensity.from_tail([0.5]), 20_000, Rng(11).generator())
         assert np.all(np.isfinite(vals))
         assert vals.min() >= 0.0 and vals.max() < 1.0
         assert np.mean(np.cos(2 * np.pi * vals)) == pytest.approx(0.5, abs=0.02)
@@ -151,23 +140,27 @@ class TestSampleBatch:
 
 
 class TestSampleModel:
+    """The harness draws Y from g = observed_density(f, eps); these check
+    that g is the law of X + eps mod 1 with X ~ f and eps drawn apart."""
+
     def test_observed_coefficients_multiply(self):
         f = FourierDensity.from_tail([0.4])
         eps = NoiseModel.mild(1.0, scale=0.3, max_freq=2)
-        s = sample_model(f, eps, 200_000, Rng(6))
-        emp = np.mean(np.exp(-2j * np.pi * s.values))
+        gen = Rng(6).generator()
+        y = _draw(f, 200_000, gen) + _draw(eps.density, 200_000, gen)
+        y -= np.floor(y)
+        emp = np.mean(np.exp(-2j * np.pi * y))
         assert abs(emp - 0.4 * 0.3) < 0.01
+        assert abs(emp - observed_density(f, eps).coeffs[1]) < 0.01
+        # f has no frequency 2, so neither has the law of X + eps
+        assert abs(np.mean(np.exp(-4j * np.pi * y))) < 0.01
 
     def test_observed_shortcut_same_distribution(self):
         f = FourierDensity.from_tail([0.4])
         eps = NoiseModel.mild(1.0, scale=0.3, max_freq=2)
-        s = sample_observed(f, eps, 50_000, Rng(7))
-        emp = np.mean(np.exp(-2j * np.pi * s.values))
+        vals = _draw(observed_density(f, eps), 50_000, Rng(7).generator())
+        emp = np.mean(np.exp(-2j * np.pi * vals))
         assert abs(emp - 0.12) < 0.02
-
-    def test_needs_sampleable_noise(self):
-        with pytest.raises(CertificationError):
-            sample_model(FourierDensity.uniform(), NoiseModel.mild(1.0), 10, Rng(0))
 
 
 class TestPersistence:

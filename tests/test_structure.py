@@ -1,7 +1,8 @@
 """Module structure: imports at module level only, the sequence theory in
-`rates` depends on no analysis module, every package export is declared
-in the `__all__` of the module it comes from, and every module attribute
-the benchmark tracer wraps still exists."""
+`rates` and the constructions in `lowerbounds` depend on no analysis
+module, every package export is declared in the `__all__` of the module
+it comes from, and every module attribute the benchmark tracer wraps
+still exists."""
 
 import ast
 import importlib
@@ -31,15 +32,22 @@ def test_no_function_level_imports(path):
     assert lazy == []
 
 
-def test_rates_depends_on_no_analysis_module():
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("rates", {"estimation", "testing", "lowerbounds", "harness", "cli"}),
+        ("lowerbounds", {"sampling", "estimation", "testing", "harness", "cli"}),
+    ],
+    ids=["rates", "lowerbounds"],
+)
+def test_depends_on_no_analysis_module(module, forbidden):
     imported = set()
-    for node in ast.walk(_tree(SRC / "rates.py")):
+    for node in ast.walk(_tree(SRC / f"{module}.py")):
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[-1])
             imported.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(a.name.split(".")[-1] for a in node.names)
-    forbidden = {"estimation", "testing", "lowerbounds", "harness", "cli"}
     assert imported & forbidden == set()
 
 

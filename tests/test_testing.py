@@ -6,7 +6,9 @@ from circdeconv.estimation import estimate_q_batch
 from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
 from circdeconv.rates import nu_k_sq, optimal_dim_est, radius_upper
 from circdeconv.sampling import Rng
-from circdeconv.testing import calibrate, custom_calibration, run_test
+# renamed: pytest would collect the name, and a test class below takes it
+from circdeconv.testing import TestCalibration as Calibration
+from circdeconv.testing import calibrate, run_test
 
 
 class TestNuKSq:
@@ -59,16 +61,17 @@ class TestCalibration:
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
         # too-small constants violate the type I inequality
         with pytest.raises(CalibrationError):
-            custom_calibration(0.05, C_alpha=2.0, A_tilde=100.0, eps=eps, R=1.0)
-        # the default calibrate() values pass
+            Calibration(0.05, C_alpha=2.0, A_tilde=100.0, A_bar=100.0, eps_sup=eps.sup_norm)
+        # the default calibrate() values pass, with A_bar^2 = R^2 + A_tilde^2
         ref = calibrate(0.05, eps, R=1.0)
-        cal = custom_calibration(0.05, ref.C_alpha, ref.A_tilde, eps, R=1.0)
+        a_bar = float(np.sqrt(1.0 + ref.A_tilde ** 2))
+        cal = Calibration(0.05, ref.C_alpha, ref.A_tilde, a_bar, eps_sup=eps.sup_norm)
         assert cal.A_bar == pytest.approx(ref.A_bar)
 
     def test_a_tilde_must_exceed_c(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
         with pytest.raises(CalibrationError):
-            custom_calibration(0.5, C_alpha=12.0, A_tilde=10.0, eps=eps, R=1.0)
+            Calibration(0.5, C_alpha=12.0, A_tilde=10.0, A_bar=10.0, eps_sup=eps.sup_norm)
 
 
 class TestRunTest:
