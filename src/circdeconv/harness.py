@@ -353,13 +353,16 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         k = resolve_k(cfg, cls, eps, n)
         thr = cal.C_alpha * nu_k_sq(eps, n, k)
         rho_sq = radius_upper(cls, eps, n, k)
+        fam = build_hypercube(cls, eps, n, cfg.alpha)
+        # refuse, as the risk experiment does, a hypercube with frequencies
+        # the noise density cannot produce
+        observed_density(fam.vertex(np.ones(fam.kappa)), eps)
         rng0 = Rng(cfg.seed, (0, n_idx))
         q_hat = _q_hats(_null_sampler, n, cfg.replications, rng0, cfg.threads, eps, k)
         type1, se1 = _mean_se((q_hat >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
         at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
         rows.append({**at_n, "A": 0.0, "se": se1})
-        fam = build_hypercube(cls, eps, n, cfg.alpha)
         theta_obs_base = fam.observed_coeffs(eps)
         a_base = np.sqrt(fam.a_lower_sq)
         for a_idx, a_mult in enumerate(cfg.a_ladder):
@@ -412,6 +415,9 @@ def _parse_record(text: str, fmt: str) -> float:
         return v
     if fmt == "hhmm":
         h, _, m = text.partition(":")
+        # int() would also take a sign, blanks or underscores
+        if not (h.isascii() and h.isdigit() and m.isascii() and m.isdigit()):
+            raise ValueError(f"invalid time {text!r}")
         hh, mm = int(h), int(m)
         if not (0 <= hh < 24 and 0 <= mm < 60):
             raise ValueError(f"invalid time {text!r}")
@@ -427,9 +433,10 @@ def _parse_record(text: str, fmt: str) -> float:
 def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     """Read one circular observation per line, mapped to [0, 1).
 
-    Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times),
-    "degrees" ([0, 360)). Per-line failures are collected; more than 1%
-    bad lines aborts with all line numbers reported.
+    Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times,
+    both fields unsigned ASCII digits), "degrees" ([0, 360)). Per-line
+    failures are collected; more than 1% bad lines aborts with all line
+    numbers reported.
     """
     values, failures = [], []
     try:

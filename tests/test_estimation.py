@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,55 @@ class TestEmpiricalCoeffs:
     def test_modulus_at_most_one(self):
         rows = empirical_coeffs_batch(Rng(2).generator().random(50)[np.newaxis, :], 20)
         assert np.all(np.abs(rows) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 2 ** 16 + 3), (37, 4096), (1, 10)],
+        ids=["one-row-blocks", "partial-last-block", "single-row"],
+    )
+    def test_blocked_matches_whole_batch(self, shape):
+        y = Rng(3).generator().random(shape)
+        assert np.array_equal(empirical_coeffs_batch(y, 6), _whole_batch_coeffs(y, 6))
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(
+        b=st.integers(1, 9),
+        # n >= 2 as in the estimator: at n = 1 numpy's in-place complex
+        # multiply of a one-element row rounds differently from its vector
+        # loop, in the whole-batch formula too
+        n=st.integers(2, 2 ** 15),
+        j_max=st.integers(1, 8),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_rows_match_one_row_calls(self, b, n, j_max, seed):
+        y = np.random.default_rng(seed).random((b, n))
+        rows = empirical_coeffs_batch(y, j_max)
+        for i in range(b):
+            assert np.array_equal(rows[i], empirical_coeffs_batch(y[i : i + 1], j_max)[0])
+
+    def test_allocation_bounded_by_block(self):
+        y = Rng(4).generator().random((32, 2 ** 16))
+        tracemalloc.start()
+        try:
+            empirical_coeffs_batch(y, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB
+        assert peak < 8 * 2 ** 20
+
+
+def _whole_batch_coeffs(y, j_max):
+    """The coefficient kernel evaluated on the whole (B, n) batch at once."""
+    base = np.exp(-2j * np.pi * y)
+    b, n = y.shape
+    out = np.empty((b, j_max), dtype=complex)
+    power = base.copy()
+    out[:, 0] = power.mean(axis=1)
+    for j in range(1, j_max):
+        power *= base
+        out[:, j] = power.mean(axis=1)
+    return out
 
 
 class TestUnbiasedSqModulus:

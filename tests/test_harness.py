@@ -145,6 +145,16 @@ class TestRiskExperiment:
         assert emit_report(r1, "json") == emit_report(r8, "json")
         assert r1.rows == r8.rows
 
+    def test_deterministic_across_thread_counts_multi_block(self):
+        # at n = 16384 each 128-row batch is 32 four-row kernel blocks, and
+        # 300 replications end in a partial batch
+        base = dict(
+            n_grid=(16384,), replications=300, scenarios=("null", "boundary"), seed=5
+        )
+        r1 = run_risk_experiment(ExperimentConfig(threads=1, **base))
+        r2 = run_risk_experiment(ExperimentConfig(threads=2, **base))
+        assert emit_report(r1, "json") == emit_report(r2, "json")
+
     def test_se_definition(self):
         cfg = ExperimentConfig(scenarios=("null",), **SMALL)
         report = run_risk_experiment(cfg)
@@ -181,6 +191,15 @@ class TestTestExperiment:
         assert alt_row["feasible"] is False
         assert alt_row["error_sum"] is None
 
+    def test_refuses_density_beyond_noise_max_freq(self):
+        # kappa* = 129 here but the noise density stops at noise_max_freq =
+        # 64; the mixture would draw frequencies the noise cannot produce
+        cfg = ExperimentConfig(
+            s=0.6, p=0.6, n_grid=(10 ** 6,), replications=2, a_ladder=(0.5,)
+        )
+        with pytest.raises(InvalidDensityError, match="129.*64"):
+            run_test_experiment(cfg)
+
     def test_type_two_monotone_in_separation(self):
         cfg = ExperimentConfig(
             n_grid=(128,), replications=500, a_ladder=(0.05, 0.15, 0.25), seed=9
@@ -202,6 +221,18 @@ class TestIngest:
         p.write_text("12:00\n23:59\n00:00\n")
         s = ingest_circular_data(p, "hhmm")
         assert np.allclose(s.values, [0.5, 1439 / 1440, 0.0])
+
+    @pytest.mark.parametrize("bad", ["-0:30", "+1:15", "12:-0"])
+    def test_hhmm_signed_field_is_bad_line(self, tmp_path, bad):
+        p = tmp_path / "d.txt"
+        p.write_text("\n".join(["07:05", "23:59"] * 50 + [bad]) + "\n")
+        # one bad line in 101 is within the 1% limit: it is dropped
+        s = ingest_circular_data(p, "hhmm")
+        assert s.values.size == 100
+        assert np.array_equal(s.values[:2], [425 / 1440, 1439 / 1440])
+        p.write_text(f"07:05\n{bad}\n")
+        with pytest.raises(IngestError, match="line 2"):
+            ingest_circular_data(p, "hhmm")
 
     def test_degrees_format(self, tmp_path):
         p = tmp_path / "d.txt"
