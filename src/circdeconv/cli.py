@@ -47,22 +47,25 @@ USAGE_ERROR, RUNTIME_ERROR, CHECK_FAILED = 1, 2, 3
 
 
 def _add_model_args(p):
-    p.add_argument("--noise", dest="illposedness", choices=["mild", "severe"], default="mild")
-    p.add_argument("--p", type=float, default=1.0, help="noise ill-posedness degree")
-    p.add_argument("--eps-scale", type=float, default=1.0)
-    p.add_argument("--noise-max-freq", type=int, default=64)
-    p.add_argument("--smoothness", choices=["ordinary", "super"], default="ordinary")
-    p.add_argument("--s", type=float, default=1.0, help="smoothness degree")
-    p.add_argument("--a-scale", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0, help="ellipsoid radius R")
+    """The model flags. An absent flag sets no attribute, so the field
+    keeps its ExperimentConfig default."""
+    g = p.add_argument_group("model", argument_default=argparse.SUPPRESS)
+    g.add_argument("--noise", dest="illposedness", choices=["mild", "severe"])
+    g.add_argument("--p", type=float, help="noise ill-posedness degree")
+    g.add_argument("--eps-scale", type=float)
+    g.add_argument("--noise-max-freq", type=int)
+    g.add_argument("--smoothness", choices=["ordinary", "super"])
+    g.add_argument("--s", type=float, help="smoothness degree")
+    g.add_argument("--a-scale", type=float)
+    g.add_argument("--radius", type=float, help="ellipsoid radius R")
 
 
 def _config_from_args(args) -> ExperimentConfig:
     """The model flags as an ExperimentConfig, so the CLI builds its
     smoothness class, noise model and k exactly as the harness does.
 
-    A flag sets the config field named by its dest; --k sets k_rule, with
-    "auto" meaning "kappa_star".
+    A given flag sets the config field named by its dest; --k sets k_rule,
+    with "auto" meaning "kappa_star".
     """
     given = {
         f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if hasattr(args, f.name)
@@ -87,7 +90,7 @@ def cmd_estimate(args) -> int:
     result = {
         "n": sample.n,
         "k": k,
-        "q_hat": estimate_q(sample, eps, k),
+        "q_hat": estimate_q(sample.values, eps, k),
     }
     _write_out(json.dumps(result, indent=2), args.out)
     return 0
@@ -100,7 +103,7 @@ def cmd_test(args) -> int:
     eps = cfg.noise_model()
     k = resolve_k(cfg, cls, eps, sample.n)
     cal = calibrate(cfg.alpha, eps, cls.radius)
-    res = run_test(sample, eps, k, cal)
+    res = run_test(sample.values, eps, k, cal)
     result = {
         "n": sample.n,
         "k": res.k,
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--format", choices=["unit", "hhmm", "degrees"], default="unit")
     p.add_argument("--k", default="auto")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     _add_model_args(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_test)
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lower-bound", help="build and verify lower-bound hypotheses")
     _add_model_args(p)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lower_bound)
 

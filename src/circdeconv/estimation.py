@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import NoiseModel
-from .sampling import as_values
 
 __all__ = [
     "empirical_coeffs_batch",
@@ -64,12 +63,13 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     return out
 
 
-def estimate_q(sample, eps: NoiseModel, k: int) -> float:
-    """The truncated-functional estimator q_hat_k of one sample.
+def estimate_q(values: np.ndarray, eps: NoiseModel, k: int) -> float:
+    """The truncated-functional estimator q_hat_k of one sample, given as
+    a 1-d array of observations.
 
     Unbiased for 2 sum_{j=1}^{k} |f_j|^2 under Y ~ f (*) eps.
     """
-    return float(estimate_q_batch(as_values(sample)[np.newaxis, :], eps, k)[0])
+    return float(estimate_q_batch(values[np.newaxis, :], eps, k)[0])
 
 
 def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
@@ -85,7 +85,7 @@ def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
     return 2.0 * corrected @ (1.0 / w)
 
 
-def u_statistic_form(sample, eps: NoiseModel, k: int) -> float:
+def u_statistic_form(values: np.ndarray, eps: NoiseModel, k: int) -> float:
     """The same estimator written as an explicit U-statistic over pairs:
 
         (1/(n(n-1))) sum_{l != m} h(Y_l, Y_m),
@@ -93,7 +93,6 @@ def u_statistic_form(sample, eps: NoiseModel, k: int) -> float:
 
     O(n^2 k) reference implementation kept as an oracle for tests.
     """
-    values = as_values(sample)
     n = values.size
     if n < 2:
         raise ValueError("need n >= 2")

@@ -32,6 +32,7 @@ __all__ = [
     "truncated_functional",
     "truncated_functional_observed",
     "ellipsoid_membership",
+    "l1_certified",
 ]
 
 # Default truncation for summing explicit smoothness sequences.
@@ -89,14 +90,6 @@ class FourierDensity:
         """sum_{j != 0} |f_j| = 2 sum_{j >= 1} |f_j|."""
         return 2.0 * float(np.sum(np.abs(self.coeffs[1:])))
 
-    @property
-    def certified_nonnegative(self) -> bool:
-        """l1 sufficient condition for pointwise nonnegativity.
-
-        sum_{j != 0} |f_j| <= 1 implies f(x) >= 1 - l1_tail >= 0.
-        """
-        return self.l1_tail <= 1.0 + 1e-12
-
     def sup_norm_bound(self) -> float:
         """Upper bound 1 + l1_tail on the sup norm of the density."""
         return 1.0 + self.l1_tail
@@ -135,6 +128,13 @@ class FourierDensity:
         return self.max_freq == other.max_freq and bool(
             np.array_equal(self.coeffs, other.coeffs)
         )
+
+
+def l1_certified(tails) -> np.ndarray:
+    """The l1 certificate 2 sum_{j>=1} |f_j| <= 1 per row of tail
+    coefficients (f_1, ..., f_K); a NaN row fails. It implies f >= 0 and
+    is exactly the condition for sampling f as a mixture (sample_batch)."""
+    return 2.0 * np.sum(np.abs(tails), axis=-1) <= 1.0 + 1e-12
 
 
 def convolve(f: FourierDensity, eps: FourierDensity) -> FourierDensity:

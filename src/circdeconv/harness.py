@@ -27,6 +27,7 @@ from .fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
+    l1_certified,
     observed_density,
     quadratic_functional,
 )
@@ -265,7 +266,7 @@ def _boundary_density(cls: SmoothnessClass, k: int) -> FourierDensity:
 def resolve_k(cfg: ExperimentConfig, cls, eps, n: int) -> int:
     """The truncation level at sample size n: kappa* or the fixed k_rule."""
     if cfg.k_rule == "kappa_star":
-        return optimal_dim_est(cls, eps, n, 10 ** 5)
+        return optimal_dim_est(cls, eps, n)
     return int(cfg.k_rule)
 
 
@@ -275,23 +276,17 @@ def _risk_scenarios(cfg: ExperimentConfig, cls, eps, n: int, k: int):
     for name in cfg.scenarios:
         if name == "null":
             out[name] = (_null_sampler, 0.0)
-        elif name == "hypercube":
+            continue
+        if name == "hypercube":
             fam = build_hypercube(cls, eps, n, cfg.alpha)
-            tau = np.ones(fam.kappa)
-            f = fam.vertex(tau)
-            out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
+            f = fam.vertex(np.ones(fam.kappa))
         elif name == "two_point":
-            m = optimal_two_point_freq(cls, eps, n)
-            pair = build_two_point(cls, eps, n, m)
-            out[name] = (
-                _fixed_density_sampler(observed_density(pair.f_plus, eps)),
-                quadratic_functional(pair.f_plus),
-            )
+            f = build_two_point(cls, eps, n, optimal_two_point_freq(cls, eps, n)).f_plus
         elif name == "boundary":
             f = _boundary_density(cls, k)
-            out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
         else:
             raise ValueError(f"unknown scenario {name!r}")
+        out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
     return out
 
 
@@ -351,26 +346,23 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
-        thr = cal.C_alpha * nu_k_sq(eps, n, k)
+        thr = cal.threshold(eps, n, k)
         rho_sq = radius_upper(cls, eps, n, k)
         fam = build_hypercube(cls, eps, n, cfg.alpha)
-        # refuse, as the risk experiment does, a hypercube with frequencies
-        # the noise density cannot produce
-        observed_density(fam.vertex(np.ones(fam.kappa)), eps)
+        # observed magnitudes theta_j |eps_j| of the all-plus vertex; refuses,
+        # as the risk experiment does, a kappa* above the noise's max_freq
+        theta_obs_base = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
         rng0 = Rng(cfg.seed, (0, n_idx))
         q_hat = _q_hats(_null_sampler, n, cfg.replications, rng0, cfg.threads, eps, k)
         type1, se1 = _mean_se((q_hat >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
         at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
         rows.append({**at_n, "A": 0.0, "se": se1})
-        theta_obs_base = fam.observed_coeffs(eps)
         a_base = np.sqrt(fam.a_lower_sq)
         for a_idx, a_mult in enumerate(cfg.a_ladder):
             # scale coefficients so q(f) = A^2 rho*^2 (theta scales like A)
             scale = a_mult / a_base
-            theta = fam.base_coeffs * scale
-            feasible = 2.0 * float(np.sum(theta)) <= 1.0 + 1e-12
-            if not feasible:
+            if not l1_certified(fam.base_coeffs * scale):
                 rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
             rng1 = Rng(cfg.seed, (1 + a_idx, n_idx))
@@ -407,27 +399,32 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- data ingestion -----------------------------------------------------
 
 
-def _parse_record(text: str, fmt: str) -> float:
-    if fmt == "unit":
-        v = float(text)
-        if not 0.0 <= v < 1.0:
-            raise ValueError(f"value {v} outside [0, 1)")
-        return v
-    if fmt == "hhmm":
-        h, _, m = text.partition(":")
-        # int() would also take a sign, blanks or underscores
-        if not (h.isascii() and h.isdigit() and m.isascii() and m.isdigit()):
-            raise ValueError(f"invalid time {text!r}")
-        hh, mm = int(h), int(m)
-        if not (0 <= hh < 24 and 0 <= mm < 60):
-            raise ValueError(f"invalid time {text!r}")
-        return (60 * hh + mm) / 1440.0
-    if fmt == "degrees":
-        v = float(text)
-        if not 0.0 <= v < 360.0:
-            raise ValueError(f"degrees {v} outside [0, 360)")
-        return v / 360.0
-    raise ValueError(f"unknown format {fmt!r}")
+def _parse_unit(text: str) -> float:
+    v = float(text)
+    if not 0.0 <= v < 1.0:
+        raise ValueError(f"value {v} outside [0, 1)")
+    return v
+
+
+def _parse_hhmm(text: str) -> float:
+    h, _, m = text.partition(":")
+    # int() would also take a sign, blanks or underscores
+    if not (h.isascii() and h.isdigit() and m.isascii() and m.isdigit()):
+        raise ValueError(f"invalid time {text!r}")
+    hh, mm = int(h), int(m)
+    if not (0 <= hh < 24 and 0 <= mm < 60):
+        raise ValueError(f"invalid time {text!r}")
+    return (60 * hh + mm) / 1440.0
+
+
+def _parse_degrees(text: str) -> float:
+    v = float(text)
+    if not 0.0 <= v < 360.0:
+        raise ValueError(f"degrees {v} outside [0, 360)")
+    return v / 360.0
+
+
+_PARSERS = {"unit": _parse_unit, "hhmm": _parse_hhmm, "degrees": _parse_degrees}
 
 
 def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
@@ -436,8 +433,12 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times,
     both fields unsigned ASCII digits), "degrees" ([0, 360)). Per-line
     failures are collected; more than 1% bad lines aborts with all line
-    numbers reported.
+    numbers reported. An unknown format raises ValueError before the file
+    is opened.
     """
+    parse = _PARSERS.get(fmt)
+    if parse is None:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(_PARSERS)}")
     values, failures = [], []
     try:
         with open(path) as fh:
@@ -449,7 +450,7 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
         raise IngestError(f"{path} contains no data")
     for lineno, text in lines:
         try:
-            values.append(_parse_record(text, fmt))
+            values.append(parse(text))
         except ValueError as e:
             failures.append((lineno, str(e)))
     if len(failures) > 0.01 * len(lines):

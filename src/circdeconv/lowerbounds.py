@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
-from .rates import nu_k_sq, optimal_dim_est
+from .rates import K_MAX, nu_k_sq, optimal_dim_est
 
 __all__ = [
     "HypercubeFamily",
@@ -90,13 +90,9 @@ class HypercubeFamily:
         for tau in itertools.product((-1.0, 1.0), repeat=self.kappa):
             yield self.vertex(np.array(tau))
 
-    def observed_coeffs(self, eps: NoiseModel) -> np.ndarray:
-        """Observation-space magnitudes theta_j |eps_j| for j = 1..kappa."""
-        return self.base_coeffs * eps.modulus(np.arange(1, self.kappa + 1))
-
 
 def build_hypercube(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, alpha: float, k_max: int = 10 ** 5
+    cls: SmoothnessClass, eps: NoiseModel, n: int, alpha: float, k_max: int = K_MAX
 ) -> HypercubeFamily:
     """Construct the hypercube family at the optimal dimension.
 

@@ -22,6 +22,8 @@ from .errors import DimensionNotFound
 from .fourier import NoiseModel, SmoothnessClass
 
 __all__ = [
+    "K_MAX",
+    "M_MAX",
     "OrderDescriptor",
     "RateReport",
     "RiskBoundBreakdown",
@@ -41,6 +43,12 @@ __all__ = [
 ]
 
 
+# Default scan windows: kappa* is searched over k <= K_MAX and the base
+# term over m <= M_MAX.
+K_MAX = 10 ** 5
+M_MAX = 10 ** 4
+
+
 def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
     """Null fluctuation scale: (1/n) sqrt(2 sum_{j=1}^{k} |eps_j|^{-4}).
 
@@ -54,7 +62,7 @@ def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
     return float(np.sqrt(s)) / n
 
 
-def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int) -> int:
+def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = K_MAX) -> int:
     """Optimal truncation: min{k : a_k^4 <= (2/n^2) sum_{j<=k} |eps_j|^{-4}}.
 
     The left side is the squared bias of truncation, the right the
@@ -76,7 +84,7 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int) -
     return int(hits[0]) + 1
 
 
-def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = 10 ** 4):
+def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = M_MAX):
     """B = max_m min(a_m^4, a_m^2 / (n |eps_m|^2)), scanned over m <= m_max.
 
     Returns (B, argmax m). The first factor decays in m while the second
@@ -130,7 +138,7 @@ class RiskBoundBreakdown:
 
 
 def risk_upper_bound(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, k: int, m_max: int = 10 ** 4
+    cls: SmoothnessClass, eps: NoiseModel, n: int, k: int, m_max: int = M_MAX
 ) -> RiskBoundBreakdown:
     """Uniform risk bound over the ellipsoid at truncation level k.
 
@@ -160,7 +168,7 @@ def risk_upper_bound(
     )
 
 
-def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = 10 ** 5) -> float:
+def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = K_MAX) -> float:
     """Balance factor eta = (a^2 ^ nu^2) / (a^2 v nu^2) at the optimal
     dimension; always in (0, 1], equal to 1 when bias and fluctuation
     scales cross exactly at kappa*."""
@@ -171,7 +179,7 @@ def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = 10 ** 5
 
 
 def optimal_two_point_freq(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = 10 ** 4
+    cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = M_MAX
 ) -> int:
     """Frequency m* maximizing the base term min(a_m^4, a_m^2/(n|eps_m|^2));
     equivalently the largest m with n a_m^2 |eps_m|^2 >= 1 when the
@@ -263,8 +271,8 @@ def numeric_rate_scan(
     cls: SmoothnessClass,
     eps: NoiseModel,
     n_grid,
-    k_max: int = 10 ** 5,
-    m_max: int = 10 ** 4,
+    k_max: int = K_MAX,
+    m_max: int = M_MAX,
 ):
     """Exact finite-n rate quantities for each n in an ascending grid.
 

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
+from .fourier import l1_certified
 
 __all__ = [
     "CircularSample",
     "Rng",
-    "as_values",
     "sample_batch",
 ]
 
@@ -52,11 +52,6 @@ class CircularSample:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-def as_values(sample) -> np.ndarray:
-    """The observations of a CircularSample, or an array-like, as an array."""
-    return sample.values if isinstance(sample, CircularSample) else np.asarray(sample, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def sample_batch(coeff_rows: np.ndarray, n: int, gen: np.random.Generator) -> np
     """Vectorized sampler: one row of tail coefficients per replication.
 
     coeff_rows has shape (B, K) holding f_1..f_K for each replication;
-    every row must satisfy the l1 certificate. Returns shape (B, n).
+    every row must satisfy fourier.l1_certified. Returns shape (B, n).
 
     Each draw compares a first uniform against its row's cumulative
     weights 2|f_j| to pick a mixture component. Draws of the uniform part
@@ -113,12 +108,12 @@ def sample_batch(coeff_rows: np.ndarray, n: int, gen: np.random.Generator) -> np
     rows = np.asarray(coeff_rows, dtype=complex)
     if rows.ndim != 2:
         raise ValueError("coeff_rows must be 2-d")
-    weights = 2.0 * np.abs(rows)
-    if not np.all(np.sum(weights, axis=1) <= 1.0 + 1e-12):  # NaN fails too
+    if not np.all(l1_certified(rows)):
         raise CertificationError(
             "coefficients fail the l1 nonnegativity certificate; refusing to sample"
         )
     b = rows.shape[0]
+    weights = 2.0 * np.abs(rows)
     upper = np.cumsum(weights, axis=1)
     shift = np.mod(-0.5 - np.angle(rows) / (2.0 * np.pi), 1.0)
     row_starts = np.arange(b + 1) * n

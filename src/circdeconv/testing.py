@@ -1,7 +1,7 @@
 """Goodness-of-fit test for uniformity under circular convolution.
 
 The test rejects the uniform null when the bias-corrected statistic
-q_hat_k exceeds C_alpha * nu_k^2, where nu_k^2 (rates.nu_k_sq) is the
+q_hat_k is at least C_alpha * nu_k^2, where nu_k^2 (rates.nu_k_sq) is the
 null standard deviation scale: exactly, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1).
 Calibration constants come with a verified guarantee: the two
 inequalities of TestCalibration bound the type I error and the type II
@@ -18,7 +18,6 @@ from .errors import CalibrationError
 from .estimation import estimate_q
 from .fourier import NoiseModel
 from .rates import nu_k_sq
-from .sampling import as_values
 
 __all__ = [
     "TestCalibration",
@@ -68,6 +67,10 @@ class TestCalibration:
                 f"type II inequality fails: {lhs2:.4g} > alpha/2 = {half:.4g}"
             )
 
+    def threshold(self, eps: NoiseModel, n: int, k: int) -> float:
+        """The rejection threshold C_alpha * nu_k^2 at sample size n."""
+        return self.C_alpha * nu_k_sq(eps, n, k)
+
 
 def calibrate(alpha: float, eps: NoiseModel, R: float) -> TestCalibration:
     """Explicit conservative constants satisfying the guarantee:
@@ -86,30 +89,24 @@ def calibrate(alpha: float, eps: NoiseModel, R: float) -> TestCalibration:
 
 @dataclass(frozen=True)
 class TestResult:
+    """The statistic and threshold of one test; ties are rejections."""
+
     statistic: float
     threshold: float
-    decision: str  # "accept_null" | "reject_null"
     k: int
     nu_k_sq: float
 
-    def __post_init__(self):
-        expected = "reject_null" if self.statistic >= self.threshold else "accept_null"
-        if self.decision != expected:
-            raise ValueError("decision inconsistent with statistic vs threshold")
-
     @property
     def rejected(self) -> bool:
-        return self.decision == "reject_null"
+        return self.statistic >= self.threshold
+
+    @property
+    def decision(self) -> str:
+        return "reject_null" if self.rejected else "accept_null"
 
 
-def run_test(sample, eps: NoiseModel, k: int, cal: TestCalibration) -> TestResult:
-    """Run the level-alpha uniformity test at truncation level k.
-
-    Ties are rejections: the decision rule is q_hat_k >= C_alpha nu_k^2.
-    """
-    n = as_values(sample).size
-    stat = estimate_q(sample, eps, k)
-    nu2 = nu_k_sq(eps, n, k)
-    thr = cal.C_alpha * nu2
-    decision = "reject_null" if stat >= thr else "accept_null"
-    return TestResult(statistic=stat, threshold=thr, decision=decision, k=k, nu_k_sq=nu2)
+def run_test(values: np.ndarray, eps: NoiseModel, k: int, cal: TestCalibration) -> TestResult:
+    """Run the level-alpha uniformity test at truncation level k on a 1-d
+    array of observations: reject when q_hat_k >= C_alpha nu_k^2."""
+    n = values.size
+    return TestResult(estimate_q(values, eps, k), cal.threshold(eps, n, k), k, nu_k_sq(eps, n, k))

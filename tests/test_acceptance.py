@@ -239,7 +239,7 @@ def test_criterion_05_lower_bound_indistinguishability():
     cls = SmoothnessClass.ordinary(1.0)
     fam = build_hypercube(cls, eps, n, alpha)  # raises if any condition fails
     cal = calibrate(alpha, eps, 1.0)
-    thr = cal.C_alpha * nu_k_sq(eps, n, fam.kappa)
+    thr = cal.threshold(eps, n, fam.kappa)
     null_stats = estimate_q_batch(
         Rng(505).child(0).generator().random((reps, n)), eps, fam.kappa
     )
@@ -247,9 +247,8 @@ def test_criterion_05_lower_bound_indistinguishability():
     # per replication a uniform sign vector tau, then Y ~ f^tau (*) eps
     gen = Rng(505).child(1).generator()
     taus = gen.choice([-1.0, 1.0], size=(reps, fam.kappa))
-    alt_stats = estimate_q_batch(
-        sample_batch(taus * fam.observed_coeffs(eps), n, gen), eps, fam.kappa
-    )
+    theta_obs = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
+    alt_stats = estimate_q_batch(sample_batch(taus * theta_obs, n, gen), eps, fam.kappa)
     t2 = float(np.mean(alt_stats < thr))
     sigma = np.sqrt(t1 * (1 - t1) / reps + t2 * (1 - t2) / reps)
     ok = t1 + t2 >= 1.0 - alpha - 3.0 * sigma

@@ -21,7 +21,7 @@ from circdeconv.fourier import (
     truncated_functional,
 )
 from circdeconv.rates import fit_rate, nu_k_sq, optimal_dim_est, risk_upper_bound
-from circdeconv.sampling import CircularSample, Rng, sample_batch
+from circdeconv.sampling import Rng, sample_batch
 
 
 class TestEmpiricalCoeffs:
@@ -165,11 +165,6 @@ class TestEstimateQ:
         q1 = estimate_q(vals, eps, 4)
         q2 = estimate_q(np.sort(vals), eps, 4)
         assert q1 == pytest.approx(q2, abs=1e-12)
-
-    def test_accepts_circular_sample(self):
-        eps = NoiseModel.mild(1.0)
-        s = CircularSample(Rng(11).generator().random(20))
-        assert estimate_q(s, eps, 2) == pytest.approx(estimate_q(s.values, eps, 2))
 
 
 class TestUStatisticEquivalence:

@@ -9,6 +9,7 @@ from circdeconv.fourier import (
     SmoothnessClass,
     convolve,
     ellipsoid_membership,
+    l1_certified,
     observed_density,
     quadratic_functional,
     truncated_functional,
@@ -76,8 +77,8 @@ class TestFourierDensity:
         assert np.mean(grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_l1_certificate(self):
-        assert FourierDensity.from_tail([0.25, 0.25]).certified_nonnegative
-        assert not FourierDensity.from_tail([0.6]).certified_nonnegative
+        assert l1_certified(FourierDensity.from_tail([0.25, 0.25]).coeffs[1:])
+        assert not l1_certified(FourierDensity.from_tail([0.6]).coeffs[1:])
 
     def test_sup_norm_bound_dominates_grid(self):
         f = FourierDensity.from_tail([0.2, 0.1])

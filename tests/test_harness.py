@@ -258,6 +258,14 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest_circular_data(tmp_path / "absent.txt", "unit")
 
+    def test_unknown_format_refused_before_reading(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("0.1\n0.2\n0.3\n")
+        for path in (p, tmp_path / "absent.txt"):
+            with pytest.raises(ValueError, match="unknown format 'radians'") as exc:
+                ingest_circular_data(path, "radians")
+            assert not isinstance(exc.value, IngestError)
+
 
 class TestReports:
     def test_json_round_trip(self):

@@ -6,7 +6,7 @@ from scipy import stats
 
 from circdeconv.cli import main as cli_main
 from circdeconv.errors import CertificationError, IngestError
-from circdeconv.fourier import FourierDensity, NoiseModel, observed_density
+from circdeconv.fourier import FourierDensity, NoiseModel, l1_certified, observed_density
 from circdeconv.harness import ingest_circular_data
 from circdeconv.sampling import CircularSample, Rng, sample_batch
 
@@ -119,6 +119,26 @@ class TestSampleBatch:
             sample_batch(np.array([[0.7]]), 5, Rng(0).generator())
         with pytest.raises(CertificationError):
             sample_batch(np.array([[0.1, np.nan]]), 5, Rng(0).generator())
+
+    @pytest.mark.parametrize(
+        "row, certified",
+        [
+            ([0.5], True),
+            ([0.5 + 1e-13], True),
+            ([0.5 + 1e-12], False),
+            ([0.25, 0.25], True),
+            ([np.nan], False),
+        ],
+        ids=["saturated", "within-slack", "beyond-slack", "two-frequency", "nan"],
+    )
+    def test_refuses_exactly_uncertified_rows(self, row, certified):
+        rows = np.array([row])
+        assert bool(l1_certified(rows)[0]) is certified
+        if certified:
+            assert sample_batch(rows, 5, Rng(0).generator()).shape == (1, 5)
+        else:
+            with pytest.raises(CertificationError):
+                sample_batch(rows, 5, Rng(0).generator())
 
     def test_batch_matches_marginal_statistics(self):
         rows = np.tile([0.3], (64, 1))

@@ -37,8 +37,10 @@ def test_no_function_level_imports(path):
     [
         ("rates", {"estimation", "testing", "lowerbounds", "harness", "cli"}),
         ("lowerbounds", {"sampling", "estimation", "testing", "harness", "cli"}),
+        ("estimation", {"sampling", "testing", "lowerbounds", "harness", "cli"}),
+        ("testing", {"sampling", "lowerbounds", "harness", "cli"}),
     ],
-    ids=["rates", "lowerbounds"],
+    ids=["rates", "lowerbounds", "estimation", "testing"],
 )
 def test_depends_on_no_analysis_module(module, forbidden):
     imported = set()

@@ -8,6 +8,7 @@ from circdeconv.rates import nu_k_sq, optimal_dim_est, radius_upper
 from circdeconv.sampling import Rng
 # renamed: pytest would collect the name, and a test class below takes it
 from circdeconv.testing import TestCalibration as Calibration
+from circdeconv.testing import TestResult as Result
 from circdeconv.testing import calibrate, run_test
 
 
@@ -82,11 +83,17 @@ class TestRunTest:
         assert res.rejected
         assert res.statistic == pytest.approx(2.0, rel=1e-3)
 
-    def test_result_consistency_enforced(self):
-        from circdeconv.testing import TestResult
+    def test_tie_rejects(self):
+        res = Result(statistic=1.0, threshold=1.0, k=1, nu_k_sq=0.1)
+        assert res.decision == "reject_null"
+        assert res.rejected
 
-        with pytest.raises(ValueError):
-            TestResult(statistic=5.0, threshold=1.0, decision="accept_null", k=1, nu_k_sq=0.1)
+    def test_threshold_is_c_alpha_nu_k_sq(self):
+        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
+        cal = calibrate(0.1, eps, R=1.0)
+        res = run_test(Rng(1).generator().random(50), eps, 3, cal)
+        assert res.threshold == cal.threshold(eps, 50, 3) == cal.C_alpha * nu_k_sq(eps, 50, 3)
+        assert res.nu_k_sq == nu_k_sq(eps, 50, 3)
 
     def test_threshold_positive(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
