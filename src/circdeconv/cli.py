@@ -26,6 +26,7 @@ import numpy as np
 from .errors import CircdeconvError, ConditionViolation
 from .estimation import estimate_q
 from .harness import (
+    DATA_FORMATS,
     ExperimentConfig,
     emit_report,
     ingest_circular_data,
@@ -82,27 +83,25 @@ def _write_out(text: str, out):
         print(text)
 
 
-def cmd_estimate(args) -> int:
+def _data_setup(args):
+    """Config, data sample, noise model and k of a data command. The model
+    flags are checked before the file is read."""
     cfg = _config_from_args(args)
     sample = ingest_circular_data(args.data, args.format)
     eps = cfg.noise_model()
-    k = resolve_k(cfg, cfg.smoothness_class(), eps, sample.n)
-    result = {
-        "n": sample.n,
-        "k": k,
-        "q_hat": estimate_q(sample.values, eps, k),
-    }
+    return cfg, sample, eps, resolve_k(cfg, cfg.smoothness_class(), eps, sample.n)
+
+
+def cmd_estimate(args) -> int:
+    _, sample, eps, k = _data_setup(args)
+    result = {"n": sample.n, "k": k, "q_hat": estimate_q(sample.values, eps, k)}
     _write_out(json.dumps(result, indent=2), args.out)
     return 0
 
 
 def cmd_test(args) -> int:
-    cfg = _config_from_args(args)
-    sample = ingest_circular_data(args.data, args.format)
-    cls = cfg.smoothness_class()
-    eps = cfg.noise_model()
-    k = resolve_k(cfg, cls, eps, sample.n)
-    cal = calibrate(cfg.alpha, eps, cls.radius)
+    cfg, sample, eps, k = _data_setup(args)
+    cal = calibrate(cfg.alpha, eps, cfg.radius)
     res = run_test(sample.values, eps, k, cal)
     result = {
         "n": sample.n,
@@ -166,14 +165,8 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(d)
 
 
-def cmd_simulate_risk(args) -> int:
-    report = run_risk_experiment(_load_config(args))
-    _write_out(emit_report(report, args.format), args.out)
-    return 0
-
-
-def cmd_simulate_test(args) -> int:
-    report = run_test_experiment(_load_config(args))
+def cmd_simulate(args) -> int:
+    report = args.experiment(_load_config(args))
     _write_out(emit_report(report, args.format), args.out)
     return 0
 
@@ -224,6 +217,13 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _add_data_args(p):
+    """The data file, its --format and --out, shared by the data commands."""
+    p.add_argument("data", help="data file, one observation per line")
+    p.add_argument("--format", choices=list(DATA_FORMATS), default="unit")
+    p.add_argument("--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circdeconv",
@@ -233,20 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="estimate the quadratic functional from data")
-    p.add_argument("data", help="data file, one observation per line")
-    p.add_argument("--format", choices=["unit", "hhmm", "degrees"], default="unit")
+    _add_data_args(p)
     p.add_argument("--k", default="auto", help="truncation level or 'auto' for kappa*")
     _add_model_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("test", help="run the calibrated uniformity test on data")
-    p.add_argument("data")
-    p.add_argument("--format", choices=["unit", "hhmm", "degrees"], default="unit")
+    _add_data_args(p)
     p.add_argument("--k", default="auto")
     p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     _add_model_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("rates", help="theoretical rates and finite-n scan")
@@ -256,14 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_rates)
 
-    for name, fn in [("simulate-risk", cmd_simulate_risk), ("simulate-test", cmd_simulate_test)]:
+    experiments = [("simulate-risk", run_risk_experiment), ("simulate-test", run_test_experiment)]
+    for name, run in experiments:
         p = sub.add_parser(name, help=f"run a Monte Carlo {name.split('-')[1]} experiment")
         p.add_argument("--config", required=True, help="JSON ExperimentConfig file")
         p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_simulate, experiment=run)
 
     p = sub.add_parser("lower-bound", help="build and verify lower-bound hypotheses")
     _add_model_args(p)
@@ -273,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("ingest", help="parse a circular data file to unit values")
-    p.add_argument("data")
-    p.add_argument("--format", choices=["unit", "hhmm", "degrees"], default="unit")
-    p.add_argument("--out")
+    _add_data_args(p)
     p.set_defaults(func=cmd_ingest)
 
     return parser

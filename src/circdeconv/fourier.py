@@ -14,7 +14,7 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -343,21 +343,19 @@ class NoiseModel:
         """Polynomially ill-posed model; with max_freq set, also builds the
         (real, symmetric) noise density eps_j = scale * j^{-p} truncated there.
         """
-        density = None
-        if max_freq is not None:
-            j = np.arange(1, max_freq + 1, dtype=float)
-            density = FourierDensity.from_tail(scale * j ** (-p))
-        return cls(
-            kind="mild", p=p, scale=scale, density=density, sup_norm_value=sup_norm_value
-        )
+        model = cls(kind="mild", p=p, scale=scale, sup_norm_value=sup_norm_value)
+        return model._truncated(max_freq)
 
     @classmethod
     def severe(cls, p: float, scale: float = 1.0, max_freq: Optional[int] = None):
-        density = None
-        if max_freq is not None:
-            j = np.arange(1, max_freq + 1, dtype=float)
-            density = FourierDensity.from_tail(scale * np.exp(-(j ** p)))
-        return cls(kind="severe", p=p, scale=scale, density=density)
+        return cls(kind="severe", p=p, scale=scale)._truncated(max_freq)
+
+    def _truncated(self, max_freq: Optional[int]) -> "NoiseModel":
+        """This model plus its density eps_j = modulus(j), j <= max_freq, if max_freq is set."""
+        if max_freq is None:
+            return self
+        tail = self.modulus(np.arange(1, max_freq + 1))
+        return replace(self, density=FourierDensity.from_tail(tail))
 
     @classmethod
     def from_density(cls, density: FourierDensity, sup_norm: Optional[float] = None):

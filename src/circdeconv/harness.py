@@ -18,6 +18,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "run_risk_experiment",
     "run_test_experiment",
     "resolve_k",
+    "DATA_FORMATS",
     "ingest_circular_data",
     "emit_report",
 ]
@@ -70,10 +72,10 @@ class ExperimentConfig:
 
     Construction only validates: a wrongly typed, fractional, empty or
     out-of-range value raises a ValueError naming its field. replications
-    is at least 2, so that every row has a standard error, and threads at
-    least 1. replications and seed take an int; threads, noise_max_freq,
-    the n in n_grid and a fixed k_rule also take an integral float such
-    as 64.0.
+    is at least 2, so that every row has a standard error; threads and
+    noise_max_freq are at least 1, and seed at least 0. replications and
+    seed take an int; threads, noise_max_freq, the n in n_grid and a
+    fixed k_rule also take an integral float such as 64.0.
     """
 
     smoothness: str = "ordinary"
@@ -114,10 +116,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
         for n in self.n_grid:
             _check_integer("n in n_grid", n)
-        if self.replications < 2:
-            raise ValueError("replications must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        for name, low in (("replications", 2), ("threads", 1), ("noise_max_freq", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("every n in n_grid must be >= 2")
         if not 0 < self.alpha < 1:
@@ -399,11 +400,12 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- data ingestion -----------------------------------------------------
 
 
-def _parse_unit(text: str) -> float:
+def _parse_fraction(period: float, text: str) -> float:
+    """A value in [0, period) as the fraction value / period of a turn."""
     v = float(text)
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"value {v} outside [0, 1)")
-    return v
+    if not 0.0 <= v < period:
+        raise ValueError(f"value {v} outside [0, {period:g})")
+    return v / period
 
 
 def _parse_hhmm(text: str) -> float:
@@ -417,47 +419,48 @@ def _parse_hhmm(text: str) -> float:
     return (60 * hh + mm) / 1440.0
 
 
-def _parse_degrees(text: str) -> float:
-    v = float(text)
-    if not 0.0 <= v < 360.0:
-        raise ValueError(f"degrees {v} outside [0, 360)")
-    return v / 360.0
-
-
-_PARSERS = {"unit": _parse_unit, "hhmm": _parse_hhmm, "degrees": _parse_degrees}
+# format name -> parser of one stripped line to a value in [0, 1)
+DATA_FORMATS = {
+    "unit": partial(_parse_fraction, 1.0),
+    "hhmm": _parse_hhmm,
+    "degrees": partial(_parse_fraction, 360.0),
+}
 
 
 def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     """Read one circular observation per line, mapped to [0, 1).
 
     Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times,
-    both fields unsigned ASCII digits), "degrees" ([0, 360)). Per-line
-    failures are collected; more than 1% bad lines aborts with all line
-    numbers reported. An unknown format raises ValueError before the file
-    is opened.
+    both fields unsigned ASCII digits), "degrees" ([0, 360)). The file is
+    parsed as it is read. Blank lines are skipped but keep their line
+    numbers; more than 1% failing non-blank lines aborts, quoting the
+    first 20. An unknown format raises ValueError before the file is
+    opened; a file that cannot be read or decoded raises IngestError.
     """
-    parse = _PARSERS.get(fmt)
+    parse = DATA_FORMATS.get(fmt)
     if parse is None:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(_PARSERS)}")
-    values, failures = [], []
+        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(DATA_FORMATS)}")
+    values, failures, total = [], [], 0
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as e:
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if not text:
+                    continue
+                total += 1
+                try:
+                    values.append(parse(text))
+                except ValueError as e:
+                    if len(failures) < 20:
+                        failures.append((lineno, str(e)))
+    except (OSError, UnicodeDecodeError) as e:
         raise IngestError(f"cannot read {path}: {e}") from e
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
+    if not total:
         raise IngestError(f"{path} contains no data")
-    for lineno, text in lines:
-        try:
-            values.append(parse(text))
-        except ValueError as e:
-            failures.append((lineno, str(e)))
-    if len(failures) > 0.01 * len(lines):
-        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures[:20])
-        raise IngestError(
-            f"{len(failures)}/{len(lines)} lines failed to parse: {detail}"
-        )
+    bad = total - len(values)
+    if bad > 0.01 * total:
+        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures)
+        raise IngestError(f"{bad}/{total} lines failed to parse: {detail}")
     return CircularSample(np.array(values))
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,42 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest_circular_data(tmp_path / "absent.txt", "unit")
 
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_bytes(b"\xff\xfe0.5\n0.25\n")
+        with pytest.raises(IngestError, match="cannot read .*d.txt: 'utf-8' codec"):
+            ingest_circular_data(p, "unit")
+
+    def test_blank_lines_skipped_but_numbered(self, tmp_path):
+        p = tmp_path / "d.txt"
+        lines = ["0.5"] * 98 + [""] * 200
+        lines[150:150] = ["junk"]
+        lines.append("1.5")
+        p.write_text("\n".join(lines) + "\n")
+        # 2 bad lines in 100 non-blank ones exceed 1%; counting the 200
+        # blank lines would let the file pass
+        with pytest.raises(IngestError, match="2/100 lines") as exc:
+            ingest_circular_data(p, "unit")
+        assert "line 151: " in str(exc.value) and "line 300: " in str(exc.value)
+        p.write_text("\n  \n\t\n")
+        with pytest.raises(IngestError, match="contains no data"):
+            ingest_circular_data(p, "unit")
+
+    def test_allocation_bounded(self, tmp_path):
+        p = tmp_path / "d.txt"
+        values = np.random.default_rng(3).random(100_000)
+        p.write_text("\n".join(repr(v) for v in values.tolist()) + "\n")
+        tracemalloc.start()
+        try:
+            s = ingest_circular_data(p, "unit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.values, values)
+        # the values as Python floats and as arrays peak near 4.6 MiB; a
+        # list of the file's lines would add about 15 MiB
+        assert peak < 8 * 2 ** 20
+
     def test_unknown_format_refused_before_reading(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("0.1\n0.2\n0.3\n")
@@ -384,6 +421,9 @@ class TestCli:
             {"replications": 1},
             {"threads": 0},
             {"threads": -1},
+            {"noise_max_freq": 0},
+            {"noise_max_freq": -3},
+            {"seed": -1},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):
