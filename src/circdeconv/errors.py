@@ -26,13 +26,13 @@ class CertificationError(CircdeconvError):
 
 
 class DimensionNotFound(CircdeconvError):
-    """No truncation level k <= k_max satisfies the bias-variance crossing;
-    the search window is too small for this sample size."""
+    """No truncation level in the scan window satisfies the bias-variance
+    crossing at this sample size."""
 
 
 class ClassNotSummable(CircdeconvError):
-    """The squared smoothness sequence is not summable on the configured
-    truncation, so hypercube hypotheses cannot be certified as densities."""
+    """A series the library sums (L_a = 2 sum a_j^2, or a sequence-only
+    sup norm) has not converged over SEQUENCE_SUM_TRUNCATION terms."""
 
 
 class ConditionViolation(CircdeconvError):

@@ -35,8 +35,20 @@ __all__ = [
     "l1_certified",
 ]
 
-# Default truncation for summing explicit smoothness sequences.
+# Number of terms over which an infinite positive series is summed.
 SEQUENCE_SUM_TRUNCATION = 10 ** 6
+
+
+def _sum_sequence(seq: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sum_{j=1}^{SEQUENCE_SUM_TRUNCATION} seq(j) of a positive sequence;
+    ClassNotSummable unless the last term is below 1e-12 of the total."""
+    terms = seq(np.arange(1, SEQUENCE_SUM_TRUNCATION + 1, dtype=float))
+    total = float(np.sum(terms))
+    if terms[-1] > 1e-12 * max(total, 1e-300):
+        raise ClassNotSummable(
+            f"sum not settled over {terms.size} terms: last {terms[-1]:.3g} of {total:.6g}"
+        )
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +133,6 @@ class FourierDensity:
             "max_freq": self.max_freq,
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, FourierDensity):
-            return NotImplemented
-        return self.max_freq == other.max_freq and bool(
-            np.array_equal(self.coeffs, other.coeffs)
-        )
 
 
 def l1_certified(tails) -> np.ndarray:
@@ -272,25 +277,18 @@ class SmoothnessClass:
             raise ValueError("a_j must be nonnegative")
         return vals
 
-    def l_a(self, truncation: int = SEQUENCE_SUM_TRUNCATION) -> float:
+    def l_a(self) -> float:
         """L_a = 2 sum_j a_j^2, the constant controlling density certification
         of hypercube hypotheses.
 
-        Ordinary classes use the exact zeta value; super-smooth sums converge
-        geometrically; explicit sequences are summed on the truncation and
-        rejected if the partial sums have visibly not settled.
+        Ordinary classes use the exact zeta value; super-smooth and explicit
+        sequences are summed by _sum_sequence, which raises ClassNotSummable
+        if the series has visibly not settled.
         """
         if self.kind == "ordinary":
             # s > 1/2 guaranteed at construction, so zeta(2s) is finite
             return 2.0 * self.scale ** 2 * float(zeta(2.0 * self.s))
-        j = np.arange(1, truncation + 1, dtype=float)
-        terms = self.a(j) ** 2
-        total = 2.0 * float(np.sum(terms))
-        if terms[-1] > 1e-12 * max(total, 1e-300):
-            raise ClassNotSummable(
-                "2 sum a_j^2 has not converged on the configured truncation"
-            )
-        return total
+        return 2.0 * _sum_sequence(lambda j: self.a(j) ** 2)
 
 
 @dataclass(frozen=True)
@@ -354,11 +352,15 @@ class NoiseModel:
         """This model plus its density eps_j = modulus(j), j <= max_freq, if max_freq is set."""
         if max_freq is None:
             return self
+        if max_freq < 1:
+            raise ValueError(f"noise density needs max_freq >= 1, got {max_freq}")
         tail = self.modulus(np.arange(1, max_freq + 1))
         return replace(self, density=FourierDensity.from_tail(tail))
 
     @classmethod
     def from_density(cls, density: FourierDensity, sup_norm: Optional[float] = None):
+        if density.max_freq < 1:
+            raise ValueError("noise density has no frequency: its tail is empty")
         if np.any(np.abs(density.coeffs[1:]) == 0.0):
             raise ValueError("noise coefficients must be non-vanishing")
         return cls(kind="explicit", density=density, sup_norm_value=sup_norm)
@@ -385,10 +387,9 @@ class NoiseModel:
         if self.density is not None:
             return self.density.sup_norm_bound()
         # sequence-only model: bound via the l1 norm of the modulus sequence,
-        # summed to convergence (severe) or bounded crudely (mild)
+        # summed to convergence (severe; ClassNotSummable if it does not)
         if self.kind == "severe":
-            j = np.arange(1, 2000, dtype=float)
-            return 1.0 + 2.0 * float(np.sum(self.modulus(j)))
+            return 1.0 + 2.0 * _sum_sequence(self.modulus)
         raise ValueError(
             "sequence-only mild noise model has no computable sup norm; "
             "attach a density or pass sup_norm_value"

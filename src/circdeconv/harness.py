@@ -16,6 +16,7 @@ import io
 import json
 import numbers
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
@@ -440,7 +441,7 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     parse = DATA_FORMATS.get(fmt)
     if parse is None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(DATA_FORMATS)}")
-    values, failures, total = [], [], 0
+    values, failures, total = array("d"), [], 0
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -461,7 +462,7 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     if bad > 0.01 * total:
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures)
         raise IngestError(f"{bad}/{total} lines failed to parse: {detail}")
-    return CircularSample(np.array(values))
+    return CircularSample(np.frombuffer(values))
 
 
 # -- report persistence -------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
-from .rates import K_MAX, nu_k_sq, optimal_dim_est
+from .rates import nu_k_sq, optimal_dim_est
 
 __all__ = [
     "HypercubeFamily",
@@ -92,7 +92,7 @@ class HypercubeFamily:
 
 
 def build_hypercube(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, alpha: float, k_max: int = K_MAX
+    cls: SmoothnessClass, eps: NoiseModel, n: int, alpha: float
 ) -> HypercubeFamily:
     """Construct the hypercube family at the optimal dimension.
 
@@ -105,7 +105,7 @@ def build_hypercube(
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     l_a = cls.l_a()
-    kappa = optimal_dim_est(cls, eps, n, k_max)
+    kappa = optimal_dim_est(cls, eps, n)
     a2 = float(cls.a(np.array([kappa]))[0]) ** 2
     nu2 = nu_k_sq(eps, n, kappa)
     eta = min(a2, nu2) / max(a2, nu2)  # equals rates.find_eta

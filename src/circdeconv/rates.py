@@ -43,10 +43,18 @@ __all__ = [
 ]
 
 
-# Default scan windows: kappa* is searched over k <= K_MAX and the base
-# term over m <= M_MAX.
+# Scan windows: kappa* is searched over k <= K_MAX and the base term over
+# m <= M_MAX, both cut at the noise density's max_freq (_window).
 K_MAX = 10 ** 5
 M_MAX = 10 ** 4
+
+
+def _window(eps: NoiseModel, limit: int) -> int:
+    """Scan frequencies 1..limit, or 1..max_freq for explicit noise, whose
+    modulus is undefined above max_freq (at least 1 by construction)."""
+    if eps.kind == "explicit":
+        return min(limit, eps.density.max_freq)
+    return limit
 
 
 def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
@@ -62,7 +70,7 @@ def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
     return float(np.sqrt(s)) / n
 
 
-def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = K_MAX) -> int:
+def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     """Optimal truncation: min{k : a_k^4 <= (2/n^2) sum_{j<=k} |eps_j|^{-4}}.
 
     The left side is the squared bias of truncation, the right the
@@ -70,8 +78,7 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = 
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
+    k_max = _window(eps, K_MAX)
     j = np.arange(1, k_max + 1)
     a4 = cls.a(j) ** 4
     with np.errstate(over="ignore", divide="ignore"):
@@ -84,15 +91,17 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = 
     return int(hits[0]) + 1
 
 
-def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = M_MAX):
-    """B = max_m min(a_m^4, a_m^2 / (n |eps_m|^2)), scanned over m <= m_max.
+def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int):
+    """B = max_m min(a_m^4, a_m^2 / (n |eps_m|^2)), scanned over the window
+    m <= M_MAX (cut at max_freq for explicit noise).
 
     Returns (B, argmax m). The first factor decays in m while the second
     typically grows until noise decay takes over, so the max sits at their
-    crossing; a warning flags a scan window too small to contain it.
+    crossing; a warning flags a maximum still rising at the window end.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    m_max = _window(eps, M_MAX)
     m = np.arange(1, m_max + 1)
     a = cls.a(m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -100,7 +109,7 @@ def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = M_MAX)
     vals = np.minimum(a ** 4, np.nan_to_num(second, nan=0.0))
     idx = int(np.argmax(vals))
     if vals[m_max - 1] >= vals[idx] * (1.0 - 1e-12):
-        warnings.warn("base term still maximal at m_max; widen the scan window")
+        warnings.warn(f"base term still maximal at the scan window end m = {m_max}")
     return float(vals[idx]), idx + 1
 
 
@@ -137,9 +146,7 @@ class RiskBoundBreakdown:
         return (c1 * self.bias_sq, c2 * self.variance_quadratic, c3 * self.variance_linear)
 
 
-def risk_upper_bound(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, k: int, m_max: int = M_MAX
-) -> RiskBoundBreakdown:
+def risk_upper_bound(cls: SmoothnessClass, eps: NoiseModel, n: int, k: int) -> RiskBoundBreakdown:
     """Uniform risk bound over the ellipsoid at truncation level k.
 
     E (q_hat_k - q(f))^2 <= c1 a_k^4 v c2 nu_k^4 v c3 B, with the sup norm
@@ -157,7 +164,7 @@ def risk_upper_bound(
     c3 = 3.0 * eps_sup * r2
     a_k4 = float(cls.a(np.array([k]))[0]) ** 4
     nu4 = nu_k_sq(eps, n, k) ** 2
-    b, _ = base_term(cls, eps, n, m_max)
+    b, _ = base_term(cls, eps, n)
     total = max(c1 * a_k4, c2 * nu4, c3 * b)
     return RiskBoundBreakdown(
         bias_sq=a_k4,
@@ -168,23 +175,21 @@ def risk_upper_bound(
     )
 
 
-def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int, k_max: int = K_MAX) -> float:
+def find_eta(cls: SmoothnessClass, eps: NoiseModel, n: int) -> float:
     """Balance factor eta = (a^2 ^ nu^2) / (a^2 v nu^2) at the optimal
     dimension; always in (0, 1], equal to 1 when bias and fluctuation
     scales cross exactly at kappa*."""
-    kappa = optimal_dim_est(cls, eps, n, k_max)
+    kappa = optimal_dim_est(cls, eps, n)
     a2 = float(cls.a(np.array([kappa]))[0]) ** 2
     nu2 = nu_k_sq(eps, n, kappa)
     return min(a2, nu2) / max(a2, nu2)
 
 
-def optimal_two_point_freq(
-    cls: SmoothnessClass, eps: NoiseModel, n: int, m_max: int = M_MAX
-) -> int:
+def optimal_two_point_freq(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     """Frequency m* maximizing the base term min(a_m^4, a_m^2/(n|eps_m|^2));
     equivalently the largest m with n a_m^2 |eps_m|^2 >= 1 when the
     sequences decay."""
-    _, m_star = base_term(cls, eps, n, m_max)
+    _, m_star = base_term(cls, eps, n)
     return m_star
 
 
@@ -267,13 +272,7 @@ class ScanRow:
         return max(self.r_star4, self.base)
 
 
-def numeric_rate_scan(
-    cls: SmoothnessClass,
-    eps: NoiseModel,
-    n_grid,
-    k_max: int = K_MAX,
-    m_max: int = M_MAX,
-):
+def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
     """Exact finite-n rate quantities for each n in an ascending grid.
 
     Per n: the optimal dimension kappa*, the minimized testing radius
@@ -286,16 +285,15 @@ def numeric_rate_scan(
         raise ValueError("n_grid must be strictly ascending")
     rows = []
     for n in n_grid:
-        kappa = optimal_dim_est(cls, eps, n, k_max)
+        kappa = optimal_dim_est(cls, eps, n)
         # rho_k^2 = max(a_k^2, nu_k^2) is minimized near the crossing at
         # kappa*; scan a safety margin on both sides.
-        lo, hi = 1, min(k_max, 4 * kappa + 8)
-        ks = np.arange(lo, hi + 1)
+        ks = np.arange(1, min(_window(eps, K_MAX), 4 * kappa + 8) + 1)
         a2 = cls.a(ks) ** 2
         with np.errstate(over="ignore"):
             nu2 = np.sqrt(2.0 * np.cumsum(eps.modulus(ks) ** -4.0)) / n
         rho2 = float(np.min(np.maximum(a2, nu2)))
-        b, _ = base_term(cls, eps, n, m_max)
+        b, _ = base_term(cls, eps, n)
         rows.append(ScanRow(n=n, kappa_star=kappa, rho_star_sq=rho2, r_star4=rho2 ** 2, base=b))
     return rows
 

@@ -207,7 +207,7 @@ def test_criterion_04_test_calibration():
     n, reps = 10 ** 3, 10 ** 4
     eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
     cls = SmoothnessClass.ordinary(1.0)
-    kappa = optimal_dim_est(cls, eps, n, 10 ** 5)
+    kappa = optimal_dim_est(cls, eps, n)
     stats = estimate_q_batch(Rng(404).child(0).generator().random((reps, n)), eps, kappa)
     nu2 = nu_k_sq(eps, n, kappa)
     details, oks = [], []
@@ -276,7 +276,7 @@ def test_criterion_06_rate_slopes():
     # an absolute +-0.05 band is not meaningful for a log-log fit over any
     # finite grid (kappa* moves through integer steps), so the check is
     # relative: within 5% of -4s/p = -8 at s = 1, p = 0.5
-    rows_sev = numeric_rate_scan(cls, NoiseModel.severe(0.5), grid, m_max=2000)
+    rows_sev = numeric_rate_scan(cls, NoiseModel.severe(0.5), grid)
     g, _ = fit_log_rate([r.n for r in rows_sev], [r.r_star4 for r in rows_sev])
 
     cfg = ExperimentConfig(

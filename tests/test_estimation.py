@@ -202,16 +202,16 @@ class TestOptimalDim:
     def test_error_when_bias_never_crosses(self):
         flat = SmoothnessClass.from_sequence(lambda j: np.ones_like(j, dtype=float))
         # direct observations (|eps_j| = 1): variance proxy 2k/n^2 stays
-        # below the non-decaying bias for every k <= k_max
+        # below the non-decaying bias for every k <= max_freq = 60
         eps = NoiseModel.from_density(FourierDensity.from_tail(np.full(60, 0.999)))
         with pytest.raises(DimensionNotFound):
-            optimal_dim_est(flat, eps, 100, 50)
+            optimal_dim_est(flat, eps, 100)
 
     def test_matches_exhaustive_scan(self):
         cls = SmoothnessClass.ordinary(1.0)
         eps = NoiseModel.mild(1.0)
         n = 10 ** 4
-        k = optimal_dim_est(cls, eps, n, 10 ** 4)
+        k = optimal_dim_est(cls, eps, n)
         ks = np.arange(1, 10 ** 4 + 1)
         a4 = ks ** -4.0
         rhs = 2.0 * np.cumsum(ks ** 4.0) / n ** 2
@@ -222,7 +222,7 @@ class TestOptimalDim:
         cls = SmoothnessClass.ordinary(1.0)
         eps = NoiseModel.mild(1.0)
         ns = [2 ** e for e in range(8, 21)]
-        kappas = [optimal_dim_est(cls, eps, n, 10 ** 5) for n in ns]
+        kappas = [optimal_dim_est(cls, eps, n) for n in ns]
         slope, _, _ = fit_rate(ns, kappas)
         assert slope == pytest.approx(2.0 / 9.0, abs=0.03)
 
@@ -246,7 +246,7 @@ class TestRiskUpperBound:
         cls = SmoothnessClass.ordinary(1.0)
         eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
         n = 500
-        k = optimal_dim_est(cls, eps, n, 10 ** 4)
+        k = optimal_dim_est(cls, eps, n)
         bd = risk_upper_bound(cls, eps, n, k)
         # stress densities inside the ellipsoid
         for tail in ([0.25], [0.2, 0.1], [0.1, 0.1, 0.05]):

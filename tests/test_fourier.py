@@ -167,14 +167,14 @@ class TestSmoothnessClass:
         assert cls.l_a() == pytest.approx(direct, rel=1e-6)
 
     def test_l_a_supersmooth_converges(self):
-        assert SmoothnessClass.supersmooth(1.0).l_a(truncation=100) == pytest.approx(
+        assert SmoothnessClass.supersmooth(1.0).l_a() == pytest.approx(
             2.0 * np.sum(np.exp(-2.0 * np.arange(1, 101))), rel=1e-12
         )
 
     def test_l_a_divergent_explicit_rejected(self):
         slow = SmoothnessClass.from_sequence(lambda j: j ** -0.4)
         with pytest.raises(ClassNotSummable):
-            slow.l_a(truncation=10 ** 4)
+            slow.l_a()
 
     def test_a_indexed_from_one(self):
         with pytest.raises(ValueError):
@@ -220,3 +220,21 @@ class TestNoiseModel:
         # mild sequence-only has no computable bound
         with pytest.raises(ValueError):
             NoiseModel.mild(1.0).sup_norm
+
+    def test_severe_sup_norm_summed_to_convergence(self):
+        j = np.arange(1, 10 ** 6 + 1, dtype=float)
+        converged = 1.0 + 2.0 * float(np.sum(np.exp(-(j ** 0.3))))
+        assert NoiseModel.severe(0.3).sup_norm == pytest.approx(converged, rel=1e-12)
+
+    def test_severe_sup_norm_refuses_unsettled_sum(self):
+        # exp(-j^0.1) is still 0.0187 at j = 10^6
+        with pytest.raises(ClassNotSummable):
+            NoiseModel.severe(0.1).sup_norm
+
+    def test_refuses_density_without_frequency(self):
+        with pytest.raises(ValueError, match="max_freq >= 1"):
+            NoiseModel.mild(1.0, max_freq=0)
+        with pytest.raises(ValueError, match="max_freq >= 1"):
+            NoiseModel.severe(1.0, max_freq=-3)
+        with pytest.raises(ValueError, match="tail is empty"):
+            NoiseModel.from_density(FourierDensity.uniform())

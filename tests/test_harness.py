@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import circdeconv
 from circdeconv.errors import IngestError, InvalidDensityError
-from circdeconv.fourier import NoiseModel, SmoothnessClass
+from circdeconv.fourier import NoiseModel, SmoothnessClass, quadratic_functional
 from circdeconv.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -22,7 +22,8 @@ from circdeconv.harness import (
     run_risk_experiment,
     run_test_experiment,
 )
-from circdeconv.rates import optimal_dim_est
+from circdeconv.lowerbounds import build_two_point
+from circdeconv.rates import optimal_dim_est, optimal_two_point_freq
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
@@ -155,6 +156,32 @@ class TestRiskExperiment:
         r1 = run_risk_experiment(ExperimentConfig(threads=1, **base))
         r2 = run_risk_experiment(ExperimentConfig(threads=2, **base))
         assert emit_report(r1, "json") == emit_report(r2, "json")
+
+    def test_two_point_scenario(self):
+        base = dict(n_grid=(64, 256), replications=200, scenarios=("two_point",), seed=3)
+        r1 = run_risk_experiment(ExperimentConfig(threads=1, **base))
+        r2 = run_risk_experiment(ExperimentConfig(threads=2, **base))
+        assert r1.report_hash() == r2.report_hash()
+        cfg = ExperimentConfig(**base)
+        cls, eps = cfg.smoothness_class(), cfg.noise_model()
+        for n in (64, 256):
+            (row,) = [r for r in r1.rows if r["n"] == n and r["scenario"] == "two_point"]
+            pair = build_two_point(cls, eps, n, optimal_two_point_freq(cls, eps, n))
+            assert row["q_true"] == quadratic_functional(pair.f_plus)
+
+    def test_super_severe_config(self):
+        cfg = ExperimentConfig(
+            smoothness="super", s=1.5, illposedness="severe", p=0.5, a_scale=0.5,
+            eps_scale=0.9, radius=2.0, noise_max_freq=16, n_grid=(64,), replications=20,
+            scenarios=("null", "boundary"), seed=2,
+        )
+        assert cfg.smoothness_class() == SmoothnessClass.supersmooth(1.5, radius=2.0, scale=0.5)
+        eps, want = cfg.noise_model(), NoiseModel.severe(0.5, scale=0.9, max_freq=16)
+        assert (eps.kind, eps.p, eps.scale) == ("severe", 0.5, 0.9)
+        assert np.array_equal(eps.density.coeffs, want.density.coeffs)
+        rows = run_risk_experiment(cfg).rows
+        assert [r["scenario"] for r in rows] == ["null", "boundary", "max"]
+        assert all(np.isfinite(r["risk"]) for r in rows)
 
     def test_se_definition(self):
         cfg = ExperimentConfig(scenarios=("null",), **SMALL)
@@ -376,7 +403,7 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         out = json.loads(res.stdout)
         expected = optimal_dim_est(
-            SmoothnessClass.supersmooth(1.0), NoiseModel.severe(1.0), out["n"], 10 ** 5
+            SmoothnessClass.supersmooth(1.0), NoiseModel.severe(1.0), out["n"]
         )
         assert out["n"] == 500 and out["k"] == expected
 

@@ -40,7 +40,7 @@ class TestFindEta:
 
     def test_explicit_ratio_small_n(self):
         n = 4
-        kappa = optimal_dim_est(CLS, EPS, n, 100)
+        kappa = optimal_dim_est(CLS, EPS, n)
         a2 = float(CLS.a(np.array([kappa]))[0]) ** 2
         nu2 = nu_k_sq(EPS, n, kappa)
         assert find_eta(CLS, EPS, n) == pytest.approx(min(a2, nu2) / max(a2, nu2))
@@ -52,7 +52,7 @@ class TestFindEta:
             __import__("circdeconv").FourierDensity.from_tail(np.full(40, 0.9999))
         )
         # nu_1^2 = sqrt(2)/n * (1/eps^2) ~ sqrt(2)/10 at n = 10; a_1^2 = sqrt(2)/10
-        assert find_eta(cls, eps, 10, k_max=40) == pytest.approx(1.0, rel=1e-3)
+        assert find_eta(cls, eps, 10) == pytest.approx(1.0, rel=1e-3)
 
 
 class TestHypercube:

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
+from circdeconv.lowerbounds import build_hypercube
 from circdeconv.rates import (
+    M_MAX,
     base_term,
+    find_eta,
     fit_log_rate,
     fit_rate,
     numeric_rate_scan,
+    optimal_dim_est,
+    optimal_two_point_freq,
+    risk_upper_bound,
     theoretical_estimation_rate,
     theoretical_testing_radius,
 )
@@ -107,13 +113,13 @@ class TestBaseTerm:
         n = 10 ** 4
         m = np.arange(1, 10 ** 6 + 1, dtype=float)
         brute = np.max(np.minimum(m ** -8.0, m ** -4.0 * m ** 2.0 / n))
-        assert base_term(cls, eps, n, m_max=10 ** 6)[0] == pytest.approx(brute)
+        assert base_term(cls, eps, n)[0] == pytest.approx(brute)
 
     def test_warns_when_window_too_small(self):
         cls = SmoothnessClass.ordinary(0.6)
         eps = NoiseModel.mild(0.6)
-        with pytest.warns(UserWarning):
-            base_term(cls, eps, 10 ** 12, m_max=10)
+        with pytest.warns(UserWarning, match=f"window end m = {M_MAX}"):
+            base_term(cls, eps, 10 ** 12)
 
 
 class TestNumericScan:
@@ -177,3 +183,37 @@ class TestFitRate:
         gamma, r2 = fit_log_rate(ns, np.log(ns) ** -3.0)
         assert gamma == pytest.approx(-3.0, abs=1e-12)
         assert r2 == pytest.approx(1.0)
+
+
+class TestDerivedWindows:
+    """Every scan cuts its window at an explicit noise model's max_freq,
+    where the modulus sequence ends."""
+
+    CLS = SmoothnessClass.ordinary(1.0)
+    # 40 frequencies: modulus() is undefined above j = 40
+    EPS = NoiseModel.from_density(FourierDensity.from_tail(0.4 * np.arange(1, 41.0) ** -1.0))
+
+    def test_kappa_star_within_max_freq(self):
+        assert optimal_dim_est(self.CLS, self.EPS, 1000) == 4
+        assert 0 < find_eta(self.CLS, self.EPS, 1000) <= 1
+
+    def test_base_term_scans(self):
+        b, m_star = base_term(self.CLS, self.EPS, 1000)
+        assert 1 <= m_star <= 40 and b > 0
+        assert optimal_two_point_freq(self.CLS, self.EPS, 1000) == m_star
+        bd = risk_upper_bound(self.CLS, self.EPS, 1000, 4)
+        assert bd.variance_linear == b
+
+    def test_rate_scan_and_hypercube(self):
+        rows = numeric_rate_scan(self.CLS, self.EPS, [100, 1000])
+        assert [r.kappa_star for r in rows] == [
+            optimal_dim_est(self.CLS, self.EPS, n) for n in (100, 1000)
+        ]
+        assert build_hypercube(self.CLS, self.EPS, 1000, 0.05).kappa == 4
+
+    def test_base_term_warning_names_window_end(self):
+        # a_m^2 / (n |eps_m|^2) = 4 m^4 / n stays below a_m^4 = m^-4 up to
+        # m ~ 27, so on 8 frequencies the maximum sits at the window end
+        eps = NoiseModel.from_density(FourierDensity.from_tail(0.5 * np.arange(1, 9.0) ** -3.0))
+        with pytest.warns(UserWarning, match="window end m = 8"):
+            assert base_term(SmoothnessClass.ordinary(1.0), eps, 10 ** 12)[1] == 8

@@ -98,3 +98,17 @@ def test_traced_names_exist():
         if not hasattr(importlib.import_module(f"circdeconv.{module}"), name)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", ["rates", "lowerbounds", "fourier"])
+def test_no_caller_set_window(module):
+    # scan windows and series truncations are derived from the model
+    window_args = {"k_max", "m_max", "truncation"}
+    found = [
+        f"{fn.name}({arg.arg})"
+        for fn in ast.walk(_tree(SRC / f"{module}.py"))
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg in window_args
+    ]
+    assert found == []

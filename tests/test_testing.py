@@ -106,7 +106,7 @@ class TestRunTest:
         alpha = 0.1
         cal = calibrate(alpha, eps, R=1.0)
         n = 200
-        k = optimal_dim_est(SmoothnessClass.ordinary(1.0), eps, n, 1000)
+        k = optimal_dim_est(SmoothnessClass.ordinary(1.0), eps, n)
         y = Rng(13).generator().random((3000, n))
         thr = cal.C_alpha * nu_k_sq(eps, n, k)
         rej = np.mean(estimate_q_batch(y, eps, k) >= thr)
@@ -134,7 +134,7 @@ class TestRadiusUpper:
         eps = NoiseModel.mild(1.0)
         n = 10 ** 3
         scan = min(radius_upper(cls, eps, n, k) for k in range(1, 200))
-        kappa = optimal_dim_est(cls, eps, n, 10 ** 4)
+        kappa = optimal_dim_est(cls, eps, n)
         near = min(radius_upper(cls, eps, n, k) for k in (kappa - 1, kappa))
         assert near == pytest.approx(scan)
 
