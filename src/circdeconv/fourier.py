@@ -15,10 +15,10 @@ Everything in this module is pure and operates on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ClassNotSummable, InvalidDensityError
 
@@ -51,9 +51,38 @@ def _sum_sequence(seq: Callable[[np.ndarray], np.ndarray]) -> float:
     return total
 
 
+# B_2k / (2k)! for k = 1..7: the Euler-Maclaurin correction coefficients.
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                    -691 / 1307674368000, 1 / 74724249600)
+
+
+def _zeta(x: float) -> float:
+    """Riemann zeta(x) for real x > 1 by Euler-Maclaurin summation
+    (DLMF 25.2) at N = 10:
+
+        sum_{j<N} j^-x + N^(1-x)/(x-1) + N^-x/2
+            + sum_{k=1..7} B_2k/(2k)! x(x+1)...(x+2k-2) N^(-x-2k+1),
+
+    within 9e-16 relative of scipy.special.zeta over x in (1 + 1e-9, 200].
+    """
+    n = 10
+    power = n ** -x
+    total = sum(j ** -x for j in range(1, n)) + n * power / (x - 1) + power / 2
+    # term = x(x+1)...(x+2k-2) N^(-x-2k+1), one factor at a time so that it
+    # underflows to 0 rather than forming inf * 0 at huge x
+    term = power * x / n
+    for k, coeff in enumerate(_EULER_MACLAURIN, start=1):
+        total += coeff * term
+        term = term * (x + 2 * k - 1) / n * (x + 2 * k) / n
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class FourierDensity:
     """Truncated Fourier representation of a density on [0, 1).
+
+    Two densities are equal when their coefficient vectors have the same
+    length and equal entries; the hash agrees (0.0 and -0.0 are equal).
 
     Parameters
     ----------
@@ -75,6 +104,14 @@ class FourierDensity:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        if not isinstance(other, FourierDensity):
+            return NotImplemented
+        return self.coeffs.size == other.coeffs.size and bool(np.all(self.coeffs == other.coeffs))
+
+    def __hash__(self):
+        return hash(tuple(self.coeffs.tolist()))
 
     # -- construction -------------------------------------------------
 
@@ -198,6 +235,14 @@ def truncated_functional_observed(g: FourierDensity, eps: "NoiseModel", k: int) 
     return 2.0 * float(np.sum(np.abs(gj) ** 2 / eps.modulus(j) ** 2))
 
 
+def _check_finite(model, *names):
+    """ValueError naming the first of the given fields that is set but not finite."""
+    for name in names:
+        value = getattr(model, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def ellipsoid_membership(f: FourierDensity, cls: "SmoothnessClass"):
     """Check 2 sum_j a_j^{-2} |f_j|^2 <= R^2.
 
@@ -221,6 +266,9 @@ class SmoothnessClass:
       "ordinary"  a_j = scale * j^{-s},        s > 1/2  (Sobolev)
       "super"     a_j = scale * exp(-j^s),     s > 0    (analytic)
       "explicit"  a_j given by a caller-supplied sequence
+
+    Classes compare and hash by value, except that an explicit sequence
+    callable is compared by identity. l_a is computed once per object.
     """
 
     kind: str
@@ -230,6 +278,7 @@ class SmoothnessClass:
     explicit: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        _check_finite(self, "s", "radius", "scale")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.kind == "ordinary":
@@ -273,21 +322,21 @@ class SmoothnessClass:
             vals = np.asarray(self.explicit(j), dtype=float)
             if np.any(vals <= 0):
                 raise ValueError("a_j must be strictly positive")
-        if np.any(vals < 0):
-            raise ValueError("a_j must be nonnegative")
         return vals
 
+    @cached_property
     def l_a(self) -> float:
         """L_a = 2 sum_j a_j^2, the constant controlling density certification
         of hypercube hypotheses.
 
-        Ordinary classes use the exact zeta value; super-smooth and explicit
-        sequences are summed by _sum_sequence, which raises ClassNotSummable
-        if the series has visibly not settled.
+        Ordinary classes use zeta(2s); super-smooth and explicit sequences
+        are summed by _sum_sequence, which raises ClassNotSummable if the
+        series has visibly not settled. A refused sum is not cached, so
+        every read raises.
         """
         if self.kind == "ordinary":
             # s > 1/2 guaranteed at construction, so zeta(2s) is finite
-            return 2.0 * self.scale ** 2 * float(zeta(2.0 * self.s))
+            return 2.0 * self.scale ** 2 * _zeta(2.0 * self.s)
         return 2.0 * _sum_sequence(lambda j: self.a(j) ** 2)
 
 
@@ -304,7 +353,8 @@ class NoiseModel:
       "explicit"  |eps_j| read off a FourierDensity's coefficients
 
     A sequence-only model (density=None) supports every bound and rate
-    computation but cannot be sampled.
+    computation but cannot be sampled. Models compare and hash by value
+    (the density by its coefficients); sup_norm is computed once per object.
     """
 
     kind: str
@@ -314,6 +364,7 @@ class NoiseModel:
     sup_norm_value: Optional[float] = None
 
     def __post_init__(self):
+        _check_finite(self, "p", "sup_norm_value")
         if self.kind == "mild":
             if self.p is None or self.p <= 0.5:
                 raise ValueError("mild ill-posedness requires p > 1/2")
@@ -379,7 +430,7 @@ class NoiseModel:
             raise ValueError("explicit noise modulus queried beyond max_freq")
         return np.abs(self.density.coeffs[j.astype(int)])
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
         """Upper bound on the sup norm of the error density (>= 1)."""
         if self.sup_norm_value is not None:

@@ -104,7 +104,7 @@ def build_hypercube(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    l_a = cls.l_a()
+    l_a = cls.l_a
     kappa = optimal_dim_est(cls, eps, n)
     a2 = float(cls.a(np.array([kappa]))[0]) ** 2
     nu2 = nu_k_sq(eps, n, kappa)

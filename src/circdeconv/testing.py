@@ -54,15 +54,16 @@ class TestCalibration:
     def _verify(self):
         c, a_t, e = self.C_alpha, self.A_tilde, self.eps_sup
         half = self.alpha / 2.0
+        # each check is written so that a NaN constant fails it
         lhs1 = (2.0 * c + 1.0) / c ** 2 * e
-        if lhs1 > half * (1 + 1e-12):
+        if not lhs1 <= half * (1 + 1e-12):
             raise CalibrationError(
                 f"type I inequality fails: {lhs1:.4g} > alpha/2 = {half:.4g}"
             )
-        if a_t <= c:
+        if not a_t > c:
             raise CalibrationError("A_tilde must exceed C_alpha")
         lhs2 = (2.0 * c + 1.0) / (a_t - c) ** 2 * e
-        if lhs2 > half * (1 + 1e-12):
+        if not lhs2 <= half * (1 + 1e-12):
             raise CalibrationError(
                 f"type II inequality fails: {lhs2:.4g} > alpha/2 = {half:.4g}"
             )

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circdeconv.errors import DimensionNotFound
 from circdeconv.estimation import (
     empirical_coeffs_batch,
     estimate_q,
@@ -15,12 +14,9 @@ from circdeconv.estimation import (
 from circdeconv.fourier import (
     FourierDensity,
     NoiseModel,
-    SmoothnessClass,
     observed_density,
-    quadratic_functional,
     truncated_functional,
 )
-from circdeconv.rates import fit_rate, nu_k_sq, optimal_dim_est, risk_upper_bound
 from circdeconv.sampling import Rng, sample_batch
 
 
@@ -196,76 +192,3 @@ class TestUStatisticEquivalence:
         got = estimate_q_batch(y, noise, k)
         want = np.array([u_statistic_form(row, noise, k) for row in y])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
-
-
-class TestOptimalDim:
-    def test_error_when_bias_never_crosses(self):
-        flat = SmoothnessClass.from_sequence(lambda j: np.ones_like(j, dtype=float))
-        # direct observations (|eps_j| = 1): variance proxy 2k/n^2 stays
-        # below the non-decaying bias for every k <= max_freq = 60
-        eps = NoiseModel.from_density(FourierDensity.from_tail(np.full(60, 0.999)))
-        with pytest.raises(DimensionNotFound):
-            optimal_dim_est(flat, eps, 100)
-
-    def test_matches_exhaustive_scan(self):
-        cls = SmoothnessClass.ordinary(1.0)
-        eps = NoiseModel.mild(1.0)
-        n = 10 ** 4
-        k = optimal_dim_est(cls, eps, n)
-        ks = np.arange(1, 10 ** 4 + 1)
-        a4 = ks ** -4.0
-        rhs = 2.0 * np.cumsum(ks ** 4.0) / n ** 2
-        expected = int(np.nonzero(a4 <= rhs)[0][0]) + 1
-        assert k == expected
-
-    def test_growth_exponent(self):
-        cls = SmoothnessClass.ordinary(1.0)
-        eps = NoiseModel.mild(1.0)
-        ns = [2 ** e for e in range(8, 21)]
-        kappas = [optimal_dim_est(cls, eps, n) for n in ns]
-        slope, _, _ = fit_rate(ns, kappas)
-        assert slope == pytest.approx(2.0 / 9.0, abs=0.03)
-
-
-class TestRiskUpperBound:
-    def test_r_to_zero_limit(self):
-        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
-        cls = SmoothnessClass.ordinary(1.0, radius=1e-6)
-        bd = risk_upper_bound(cls, eps, 100, 3)
-        c1, c2, c3 = bd.constants
-        assert c1 < 1e-20 and c3 < 1e-10
-        assert bd.total == pytest.approx(c2 * bd.variance_quadratic)
-
-    def test_total_is_max_of_terms(self):
-        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
-        cls = SmoothnessClass.ordinary(1.0)
-        bd = risk_upper_bound(cls, eps, 1000, 5)
-        assert bd.total == pytest.approx(max(bd.terms()))
-
-    def test_dominates_empirical_risk(self):
-        cls = SmoothnessClass.ordinary(1.0)
-        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
-        n = 500
-        k = optimal_dim_est(cls, eps, n)
-        bd = risk_upper_bound(cls, eps, n, k)
-        # stress densities inside the ellipsoid
-        for tail in ([0.25], [0.2, 0.1], [0.1, 0.1, 0.05]):
-            f = FourierDensity.from_tail(tail)
-            y = _observed_matrix(f, eps, 400, n, Rng(12))
-            err = (estimate_q_batch(y, eps, k) - quadratic_functional(f)) ** 2
-            assert err.mean() <= bd.total
-
-    def test_rejects_n_below_three(self):
-        # at n = 2 the null risk is 4 nu_k^4 but c2 nu_k^4 can be ~3 nu_k^4
-        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
-        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
-        with pytest.raises(ValueError):
-            risk_upper_bound(cls, eps, 2, 1)
-
-    @pytest.mark.parametrize("n", [3, 4, 10])
-    def test_dominates_exact_null_risk(self, n):
-        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
-        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
-        for k in (1, 2, 5):
-            null_risk = 2.0 * nu_k_sq(eps, n, k) ** 2 * n / (n - 1)
-            assert risk_upper_bound(cls, eps, n, k).total >= null_risk

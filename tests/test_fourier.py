@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
+from circdeconv import fourier
 from circdeconv.fourier import (
     FourierDensity,
     NoiseModel,
@@ -84,6 +86,13 @@ class TestFourierDensity:
         f = FourierDensity.from_tail([0.2, 0.1])
         assert f.sup_norm_bound() >= np.max(f.evaluate(np.arange(256) / 256))
 
+    def test_value_equality(self):
+        assert len({FourierDensity.from_tail([0.1]), FourierDensity.from_tail([0.1])}) == 1
+        assert FourierDensity.from_tail([0.1]) != FourierDensity.from_tail([0.2])
+        assert FourierDensity.from_tail([0.1]) != FourierDensity.from_tail([0.1, 0.0])
+        plus, minus = FourierDensity.from_tail([0.0]), FourierDensity.from_tail([-0.0])
+        assert plus == minus and hash(plus) == hash(minus)
+
     def test_json_round_trip(self):
         f = FourierDensity.from_tail([0.2 + 0.1j, -0.05])
         d = json.loads(json.dumps(f.to_json_dict()))
@@ -142,6 +151,56 @@ class TestFunctionals:
         assert not outside
 
 
+class TestZeta:
+    def test_matches_scipy(self):
+        xs = np.concatenate([1.0 + np.logspace(-9, 0, 400), np.linspace(2.0, 200.0, 2000)])
+        ours = np.array([fourier._zeta(x) for x in xs])
+        assert np.max(np.abs(ours - zeta(xs)) / zeta(xs)) <= 2e-15
+
+    def test_exact_at_two(self):
+        # x = 2 gives l_a of the s = 1 ordinary class
+        assert fourier._zeta(2.0) == zeta(2.0)
+
+
+# each model parameter that must be finite, and a model built from its value
+BUILD_WITH = {
+    "s": lambda v: SmoothnessClass.supersmooth(v),
+    "radius": lambda v: SmoothnessClass.ordinary(1.0, radius=v),
+    "scale": lambda v: SmoothnessClass.ordinary(1.0, scale=v),
+    "p": lambda v: NoiseModel.severe(v),
+    "sup_norm_value": lambda v: NoiseModel.mild(1.0, sup_norm_value=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", list(BUILD_WITH))
+def test_non_finite_parameter_refused(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        BUILD_WITH[field](value)
+
+
+def test_constants_summed_once(monkeypatch):
+    calls = []
+    real = fourier._sum_sequence
+
+    def spy(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(fourier, "_sum_sequence", spy)
+    cls = SmoothnessClass.supersmooth(1.0)
+    assert cls.l_a == cls.l_a == cls.l_a
+    eps = NoiseModel.severe(0.5)
+    assert eps.sup_norm == eps.sup_norm == eps.sup_norm
+    assert len(calls) == 2
+    # a refused sum is not cached: every read raises
+    slow = SmoothnessClass.from_sequence(lambda j: j ** -0.4)
+    for _ in range(2):
+        with pytest.raises(ClassNotSummable):
+            slow.l_a
+    assert len(calls) == 4
+
+
 class TestSmoothnessClass:
     def test_ordinary_requires_s_above_half(self):
         with pytest.raises(ValueError):
@@ -164,17 +223,17 @@ class TestSmoothnessClass:
     def test_l_a_zeta_matches_direct_sum(self):
         cls = SmoothnessClass.ordinary(1.5)
         direct = 2.0 * np.sum(np.arange(1, 10 ** 6, dtype=float) ** -3.0)
-        assert cls.l_a() == pytest.approx(direct, rel=1e-6)
+        assert cls.l_a == pytest.approx(direct, rel=1e-6)
 
     def test_l_a_supersmooth_converges(self):
-        assert SmoothnessClass.supersmooth(1.0).l_a() == pytest.approx(
+        assert SmoothnessClass.supersmooth(1.0).l_a == pytest.approx(
             2.0 * np.sum(np.exp(-2.0 * np.arange(1, 101))), rel=1e-12
         )
 
     def test_l_a_divergent_explicit_rejected(self):
         slow = SmoothnessClass.from_sequence(lambda j: j ** -0.4)
         with pytest.raises(ClassNotSummable):
-            slow.l_a()
+            slow.l_a
 
     def test_a_indexed_from_one(self):
         with pytest.raises(ValueError):
@@ -230,6 +289,12 @@ class TestNoiseModel:
         # exp(-j^0.1) is still 0.0187 at j = 10^6
         with pytest.raises(ClassNotSummable):
             NoiseModel.severe(0.1).sup_norm
+
+    def test_value_equality(self):
+        a, b = NoiseModel.mild(1.0, max_freq=4), NoiseModel.mild(1.0, max_freq=4)
+        assert a == b and hash(a) == hash(b)
+        assert a != NoiseModel.mild(1.0, max_freq=5)
+        assert a != NoiseModel.mild(1.0)
 
     def test_refuses_density_without_frequency(self):
         with pytest.raises(ValueError, match="max_freq >= 1"):

@@ -416,6 +416,14 @@ class TestCli:
         assert res.returncode == 2
         assert "no tabulated" in res.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--s", "nan", "s"), ("--a-scale", "inf", "scale")]
+    )
+    def test_non_finite_model_flag_exit_code(self, flag, value, field):
+        res = self._run("rates", flag, value)
+        assert res.returncode == 2
+        assert f"{field} must be finite" in res.stderr
+
     def test_usage_error_exit_code(self):
         res = self._run("estimate")  # missing data argument
         assert res.returncode == 1

@@ -19,7 +19,7 @@ from circdeconv.lowerbounds import (
     hellinger_reduction_bound,
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
-from circdeconv.rates import find_eta, nu_k_sq, optimal_dim_est, optimal_two_point_freq
+from circdeconv.rates import optimal_two_point_freq
 from circdeconv.sampling import Rng, sample_batch
 
 CLS = SmoothnessClass.ordinary(1.0)
@@ -29,30 +29,6 @@ EPS = NoiseModel.mild(1.0)
 def _observed_magnitudes(fam):
     """theta_j |eps_j|: the observed coefficients of the all-plus vertex."""
     return observed_density(fam.vertex(np.ones(fam.kappa)), EPS).coeffs[1:].real
-
-
-class TestFindEta:
-    def test_in_unit_interval_across_grid(self):
-        etas = [find_eta(CLS, EPS, 2 ** e) for e in range(8, 21)]
-        assert all(0 < e <= 1 for e in etas)
-        # bounded below by a constant across the grid
-        assert min(etas) > 0.1
-
-    def test_explicit_ratio_small_n(self):
-        n = 4
-        kappa = optimal_dim_est(CLS, EPS, n)
-        a2 = float(CLS.a(np.array([kappa]))[0]) ** 2
-        nu2 = nu_k_sq(EPS, n, kappa)
-        assert find_eta(CLS, EPS, n) == pytest.approx(min(a2, nu2) / max(a2, nu2))
-
-    def test_balanced_case_equals_one(self):
-        # a_j and nu constructed to cross exactly at kappa* = 1
-        cls = SmoothnessClass.from_sequence(lambda j: np.sqrt(np.sqrt(2.0)/10) * j ** -1.0)
-        eps = NoiseModel.from_density(
-            __import__("circdeconv").FourierDensity.from_tail(np.full(40, 0.9999))
-        )
-        # nu_1^2 = sqrt(2)/n * (1/eps^2) ~ sqrt(2)/10 at n = 10; a_1^2 = sqrt(2)/10
-        assert find_eta(cls, eps, 10) == pytest.approx(1.0, rel=1e-3)
 
 
 class TestHypercube:
@@ -223,7 +199,7 @@ class TestReductions:
         fam = build_hypercube(CLS, EPS, 1000, alpha)
         rho_sq = fam.rho_star_sq
         lb = to_estimation_lb(rho_sq, alpha, np.sqrt(fam.a_lower_sq))
-        l_a = CLS.l_a()
+        l_a = CLS.l_a
         zeta = min(1.0, np.sqrt(np.log(1.5)), 1.0 / l_a)
         expected = (1 - alpha) / 8.0 * fam.eta * zeta * rho_sq ** 2
         assert lb == pytest.approx(expected, rel=1e-12)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
+from circdeconv.errors import DimensionNotFound
+from circdeconv.estimation import estimate_q_batch
+from circdeconv.fourier import (
+    FourierDensity,
+    NoiseModel,
+    SmoothnessClass,
+    observed_density,
+    quadratic_functional,
+)
 from circdeconv.lowerbounds import build_hypercube
 from circdeconv.rates import (
     M_MAX,
@@ -9,6 +17,7 @@ from circdeconv.rates import (
     find_eta,
     fit_log_rate,
     fit_rate,
+    nu_k_sq,
     numeric_rate_scan,
     optimal_dim_est,
     optimal_two_point_freq,
@@ -16,6 +25,7 @@ from circdeconv.rates import (
     theoretical_estimation_rate,
     theoretical_testing_radius,
 )
+from circdeconv.sampling import Rng, sample_batch
 
 DYADIC = [2 ** e for e in range(8, 23)]
 
@@ -217,3 +227,127 @@ class TestDerivedWindows:
         eps = NoiseModel.from_density(FourierDensity.from_tail(0.5 * np.arange(1, 9.0) ** -3.0))
         with pytest.warns(UserWarning, match="window end m = 8"):
             assert base_term(SmoothnessClass.ordinary(1.0), eps, 10 ** 12)[1] == 8
+
+
+class TestNuKSq:
+    def test_unit_modulus_closed_form(self):
+        eps = NoiseModel.from_density(FourierDensity.from_tail(np.full(20, 0.9999)))
+        # |eps_j| ~ 1 -> nu_k^2 ~ sqrt(2k)/n
+        assert nu_k_sq(eps, 10, 4) == pytest.approx(np.sqrt(8) / 10, rel=1e-3)
+
+    def test_single_frequency_value(self):
+        eps = NoiseModel.from_density(FourierDensity.from_tail([0.5]))
+        assert nu_k_sq(eps, 10, 1) == pytest.approx(np.sqrt(32) / 10)
+
+    def test_matches_naive_sum_large_k(self):
+        eps = NoiseModel.mild(1.0)
+        k, n = 10 ** 4, 100
+        naive = np.sqrt(2.0 * sum(float(j) ** 4 for j in range(1, k + 1))) / n
+        assert nu_k_sq(eps, n, k) == pytest.approx(naive, rel=1e-12)
+
+    def test_monotone_in_k(self):
+        eps = NoiseModel.mild(1.0)
+        vals = [nu_k_sq(eps, 50, k) for k in range(1, 10)]
+        assert np.all(np.diff(vals) > 0)
+
+
+class TestOptimalDim:
+    def test_error_when_bias_never_crosses(self):
+        flat = SmoothnessClass.from_sequence(lambda j: np.ones_like(j, dtype=float))
+        # direct observations (|eps_j| = 1): variance proxy 2k/n^2 stays
+        # below the non-decaying bias for every k <= max_freq = 60
+        eps = NoiseModel.from_density(FourierDensity.from_tail(np.full(60, 0.999)))
+        with pytest.raises(DimensionNotFound):
+            optimal_dim_est(flat, eps, 100)
+
+    def test_matches_exhaustive_scan(self):
+        cls = SmoothnessClass.ordinary(1.0)
+        eps = NoiseModel.mild(1.0)
+        n = 10 ** 4
+        k = optimal_dim_est(cls, eps, n)
+        ks = np.arange(1, 10 ** 4 + 1)
+        a4 = ks ** -4.0
+        rhs = 2.0 * np.cumsum(ks ** 4.0) / n ** 2
+        expected = int(np.nonzero(a4 <= rhs)[0][0]) + 1
+        assert k == expected
+
+    def test_growth_exponent(self):
+        cls = SmoothnessClass.ordinary(1.0)
+        eps = NoiseModel.mild(1.0)
+        ns = [2 ** e for e in range(8, 21)]
+        kappas = [optimal_dim_est(cls, eps, n) for n in ns]
+        slope, _, _ = fit_rate(ns, kappas)
+        assert slope == pytest.approx(2.0 / 9.0, abs=0.03)
+
+
+class TestFindEta:
+    CLS = SmoothnessClass.ordinary(1.0)
+    EPS = NoiseModel.mild(1.0)
+
+    def test_in_unit_interval_across_grid(self):
+        etas = [find_eta(self.CLS, self.EPS, 2 ** e) for e in range(8, 21)]
+        assert all(0 < e <= 1 for e in etas)
+        # bounded below by a constant across the grid
+        assert min(etas) > 0.1
+
+    def test_explicit_ratio_small_n(self):
+        n = 4
+        kappa = optimal_dim_est(self.CLS, self.EPS, n)
+        a2 = float(self.CLS.a(np.array([kappa]))[0]) ** 2
+        nu2 = nu_k_sq(self.EPS, n, kappa)
+        assert find_eta(self.CLS, self.EPS, n) == pytest.approx(min(a2, nu2) / max(a2, nu2))
+
+    def test_balanced_case_equals_one(self):
+        # a_j and nu constructed to cross exactly at kappa* = 1
+        cls = SmoothnessClass.from_sequence(lambda j: np.sqrt(np.sqrt(2.0)/10) * j ** -1.0)
+        eps = NoiseModel.from_density(
+            FourierDensity.from_tail(np.full(40, 0.9999))
+        )
+        # nu_1^2 = sqrt(2)/n * (1/eps^2) ~ sqrt(2)/10 at n = 10; a_1^2 = sqrt(2)/10
+        assert find_eta(cls, eps, 10) == pytest.approx(1.0, rel=1e-3)
+
+
+class TestRiskUpperBound:
+    def test_r_to_zero_limit(self):
+        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
+        cls = SmoothnessClass.ordinary(1.0, radius=1e-6)
+        bd = risk_upper_bound(cls, eps, 100, 3)
+        c1, c2, c3 = bd.constants
+        assert c1 < 1e-20 and c3 < 1e-10
+        assert bd.total == pytest.approx(c2 * bd.variance_quadratic)
+
+    def test_total_is_max_of_terms(self):
+        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
+        cls = SmoothnessClass.ordinary(1.0)
+        bd = risk_upper_bound(cls, eps, 1000, 5)
+        assert bd.total == pytest.approx(max(bd.terms()))
+
+    def test_dominates_empirical_risk(self):
+        cls = SmoothnessClass.ordinary(1.0)
+        eps = NoiseModel.mild(1.0, sup_norm_value=2.0)
+        n = 500
+        k = optimal_dim_est(cls, eps, n)
+        bd = risk_upper_bound(cls, eps, n, k)
+        # stress densities inside the ellipsoid
+        for tail in ([0.25], [0.2, 0.1], [0.1, 0.1, 0.05]):
+            f = FourierDensity.from_tail(tail)
+            g = observed_density(f, eps)
+            draws = sample_batch(g.coeffs[np.newaxis, 1:], 400 * n, Rng(12).generator())
+            y = draws.reshape(400, n)
+            err = (estimate_q_batch(y, eps, k) - quadratic_functional(f)) ** 2
+            assert err.mean() <= bd.total
+
+    def test_rejects_n_below_three(self):
+        # at n = 2 the null risk is 4 nu_k^4 but c2 nu_k^4 can be ~3 nu_k^4
+        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
+        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
+        with pytest.raises(ValueError):
+            risk_upper_bound(cls, eps, 2, 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_dominates_exact_null_risk(self, n):
+        eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
+        cls = SmoothnessClass.ordinary(1.0, radius=0.1)
+        for k in (1, 2, 5):
+            null_risk = 2.0 * nu_k_sq(eps, n, k) ** 2 * n / (n - 1)
+            assert risk_upper_bound(cls, eps, n, k).total >= null_risk

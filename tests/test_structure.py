@@ -1,8 +1,8 @@
-"""Module structure: imports at module level only, the sequence theory in
-`rates` and the constructions in `lowerbounds` depend on no analysis
-module, every package export is declared in the `__all__` of the module
-it comes from, and every module attribute the benchmark tracer wraps
-still exists."""
+"""Module structure: imports at module level only and none of scipy, the
+sequence theory in `rates` and the constructions in `lowerbounds` depend
+on no analysis module, every package export is declared in the `__all__`
+of the module it comes from, and every module attribute the benchmark
+tracer wraps still exists."""
 
 import ast
 import importlib
@@ -51,6 +51,18 @@ def test_depends_on_no_analysis_module(module, forbidden):
         elif isinstance(node, ast.Import):
             imported.update(a.name.split(".")[-1] for a in node.names)
     assert imported & forbidden == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # numpy is the only runtime dependency
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_package_exports_declared_in_home_module():

@@ -12,28 +12,6 @@ from circdeconv.testing import TestResult as Result
 from circdeconv.testing import calibrate, run_test
 
 
-class TestNuKSq:
-    def test_unit_modulus_closed_form(self):
-        eps = NoiseModel.from_density(FourierDensity.from_tail(np.full(20, 0.9999)))
-        # |eps_j| ~ 1 -> nu_k^2 ~ sqrt(2k)/n
-        assert nu_k_sq(eps, 10, 4) == pytest.approx(np.sqrt(8) / 10, rel=1e-3)
-
-    def test_single_frequency_value(self):
-        eps = NoiseModel.from_density(FourierDensity.from_tail([0.5]))
-        assert nu_k_sq(eps, 10, 1) == pytest.approx(np.sqrt(32) / 10)
-
-    def test_matches_naive_sum_large_k(self):
-        eps = NoiseModel.mild(1.0)
-        k, n = 10 ** 4, 100
-        naive = np.sqrt(2.0 * sum(float(j) ** 4 for j in range(1, k + 1))) / n
-        assert nu_k_sq(eps, n, k) == pytest.approx(naive, rel=1e-12)
-
-    def test_monotone_in_k(self):
-        eps = NoiseModel.mild(1.0)
-        vals = [nu_k_sq(eps, 50, k) for k in range(1, 10)]
-        assert np.all(np.diff(vals) > 0)
-
-
 class TestCalibration:
     def test_default_constants(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
@@ -68,6 +46,19 @@ class TestCalibration:
         a_bar = float(np.sqrt(1.0 + ref.A_tilde ** 2))
         cal = Calibration(0.05, ref.C_alpha, ref.A_tilde, a_bar, eps_sup=eps.sup_norm)
         assert cal.A_bar == pytest.approx(ref.A_bar)
+
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            {"C_alpha": np.nan, "A_tilde": 1e4, "eps_sup": 1.0},
+            {"C_alpha": 120.0, "A_tilde": np.nan, "eps_sup": 1.0},
+            {"C_alpha": 120.0, "A_tilde": 1e4, "eps_sup": np.nan},
+        ],
+        ids=["C_alpha", "A_tilde", "eps_sup"],
+    )
+    def test_nan_constant_refused(self, constants):
+        with pytest.raises(CalibrationError):
+            Calibration(0.05, A_bar=1e4, **constants)
 
     def test_a_tilde_must_exceed_c(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
