@@ -213,7 +213,8 @@ def cmd_lower_bound(args) -> int:
 
 def cmd_ingest(args) -> int:
     sample = ingest_circular_data(args.data, args.format)
-    _write_out("\n".join(f"{v:.17g}" for v in sample.values), args.out)
+    # Python floats format faster than numpy scalars, to the same text
+    _write_out("\n".join(f"{v:.17g}" for v in sample.values.tolist()), args.out)
     return 0
 
 

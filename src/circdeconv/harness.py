@@ -420,12 +420,57 @@ def _parse_hhmm(text: str) -> float:
     return (60 * hh + mm) / 1440.0
 
 
+# the period of each fractional format: a value v in [0, period) is v / period
+_PERIODS = {"unit": 1.0, "degrees": 360.0}
+
 # format name -> parser of one stripped line to a value in [0, 1)
 DATA_FORMATS = {
-    "unit": partial(_parse_fraction, 1.0),
+    "unit": partial(_parse_fraction, _PERIODS["unit"]),
     "hhmm": _parse_hhmm,
-    "degrees": partial(_parse_fraction, 360.0),
+    "degrees": partial(_parse_fraction, _PERIODS["degrees"]),
 }
+
+# characters of text read per block; a block's lines are parsed in bulk
+_BLOCK_CHARS = 1 << 16
+
+
+def _convert_block(lines: list, convert, strip: bool):
+    """convert applied to the non-blank lines of a block of raw lines
+    (stripped first if strip), in line order. Returns the values, the
+    positions of the refused lines among the non-blank ones, and the line
+    index of each non-blank line.
+
+    Blank lines are set aside first, since each would cost the bulk map
+    an exception. A line that convert refuses is retried on its stripped
+    text, since str.strip() removes the separators U+001C to U+001F and
+    float() does not. The bulk map resumes after the line, so the
+    exception cost is paid per refused line only.
+    """
+    kept = range(len(lines))
+    if any(map(str.isspace, lines)):
+        kept = [i for i, line in enumerate(lines) if not line.isspace()]
+        lines = [lines[i] for i in kept]
+    values, refused = [], []
+    it = map(convert, map(str.strip, lines) if strip else lines)
+    while True:
+        try:
+            values.extend(it)
+            return values, refused, kept
+        except ValueError:
+            # extend keeps the values appended before the refused line
+            i = len(values) + len(refused)
+            try:
+                values.append(convert(lines[i].strip()))
+            except ValueError:
+                refused.append(i)
+
+
+def _refusal(parse, text: str) -> str:
+    """The message with which parse refuses text, a line it refuses."""
+    try:
+        parse(text)
+    except ValueError as e:
+        return str(e)
 
 
 def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
@@ -433,36 +478,48 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
 
     Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times,
     both fields unsigned ASCII digits), "degrees" ([0, 360)). The file is
-    parsed as it is read. Blank lines are skipped but keep their line
-    numbers; more than 1% failing non-blank lines aborts, quoting the
-    first 20. An unknown format raises ValueError before the file is
-    opened; a file that cannot be read or decoded raises IngestError.
+    parsed as it is read, a block of lines at a time, with the values and
+    messages of the per-line parsers in DATA_FORMATS. Blank lines are
+    skipped but keep their line numbers; more than 1% failing non-blank
+    lines aborts, quoting the first 20. An unknown format raises
+    ValueError before the file is opened; a file that cannot be read or
+    decoded raises IngestError.
     """
     parse = DATA_FORMATS.get(fmt)
     if parse is None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(DATA_FORMATS)}")
-    values, failures, total = array("d"), [], 0
+    period = _PERIODS.get(fmt)
+    # float() strips the raw line itself; the range check is done per block
+    convert = parse if period is None else float
+    out, failures, total, pos = array("d"), [], 0, 0
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text:
-                    continue
-                total += 1
-                try:
-                    values.append(parse(text))
-                except ValueError as e:
-                    if len(failures) < 20:
-                        failures.append((lineno, str(e)))
+            while lines := fh.readlines(_BLOCK_CHARS):
+                values, quoted, kept = _convert_block(lines, convert, period is None)
+                total += len(kept)
+                block = np.array(values, dtype=float)
+                if period is not None:
+                    ok = (block >= 0.0) & (block < period)
+                    if not ok.all():
+                        if len(failures) < 20:
+                            at = np.delete(np.arange(len(kept)), quoted)[~ok]
+                            quoted = sorted(quoted + at.tolist())
+                        block = block[ok]
+                    block = block / period
+                for i in quoted[: 20 - len(failures)]:
+                    text = lines[kept[i]].strip()
+                    failures.append((pos + kept[i] + 1, _refusal(parse, text)))
+                out.frombytes(block.tobytes())
+                pos += len(lines)
     except (OSError, UnicodeDecodeError) as e:
         raise IngestError(f"cannot read {path}: {e}") from e
     if not total:
         raise IngestError(f"{path} contains no data")
-    bad = total - len(values)
+    bad = total - len(out)
     if bad > 0.01 * total:
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures)
         raise IngestError(f"{bad}/{total} lines failed to parse: {detail}")
-    return CircularSample(np.frombuffer(values))
+    return CircularSample(np.frombuffer(out))
 
 
 # -- report persistence -------------------------------------------------

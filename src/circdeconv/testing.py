@@ -37,7 +37,8 @@ class TestCalibration:
         (2 C + 1) / (A_tilde - C)^2 * e <= alpha/2  (type II)
 
     and A_bar^2 = R^2 + A_tilde^2 accounts for the null-proximal part of
-    the alternative that no test needs to detect.
+    the alternative that no test needs to detect, so A_bar is finite and
+    at least A_tilde.
     """
 
     alpha: float
@@ -67,6 +68,8 @@ class TestCalibration:
             raise CalibrationError(
                 f"type II inequality fails: {lhs2:.4g} > alpha/2 = {half:.4g}"
             )
+        if not (np.isfinite(self.A_bar) and self.A_bar >= a_t):
+            raise CalibrationError(f"A_bar must be finite and at least A_tilde, got {self.A_bar}")
 
     def threshold(self, eps: NoiseModel, n: int, k: int) -> float:
         """The rejection threshold C_alpha * nu_k^2 at sample size n."""
@@ -78,9 +81,13 @@ def calibrate(alpha: float, eps: NoiseModel, R: float) -> TestCalibration:
 
         C_alpha = 6 ||eps||_inf / alpha,
         A_tilde = C_alpha + (2/alpha) sqrt(12 ||eps||_inf^2 / alpha + ||eps||_inf).
+
+    The ellipsoid radius R must be finite and positive.
     """
     if not 0 < alpha < 1:
         raise CalibrationError("alpha must lie in (0, 1)")
+    if not (np.isfinite(R) and R > 0):
+        raise CalibrationError(f"R must be finite and positive, got {R}")
     e = eps.sup_norm
     c = 6.0 * e / alpha
     a_t = c + (2.0 / alpha) * float(np.sqrt(12.0 * e ** 2 / alpha + e))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circdeconv
+from circdeconv import harness
 from circdeconv.errors import IngestError, InvalidDensityError
 from circdeconv.fourier import NoiseModel, SmoothnessClass, quadratic_functional
 from circdeconv.harness import (
+    DATA_FORMATS,
     ExperimentConfig,
     ExperimentReport,
     emit_report,
@@ -24,6 +27,7 @@ from circdeconv.harness import (
 )
 from circdeconv.lowerbounds import build_two_point
 from circdeconv.rates import optimal_dim_est, optimal_two_point_freq
+from circdeconv.sampling import CircularSample
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
@@ -52,6 +56,70 @@ CONFIGS = st.builds(
     scenarios=st.lists(_SCENARIO, min_size=1),
     a_ladder=st.lists(st.floats(0.0, 100.0)),
 )
+
+
+def _per_line_ingest(path, fmt):
+    """Ingestion one line at a time through DATA_FORMATS: the reference
+    that the block parse must reproduce bit for bit."""
+    parse = DATA_FORMATS[fmt]
+    values, failures, total = [], [], 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text:
+                continue
+            total += 1
+            try:
+                values.append(parse(text))
+            except ValueError as e:
+                if len(failures) < 20:
+                    failures.append((lineno, str(e)))
+    if not total:
+        raise IngestError(f"{path} contains no data")
+    bad = total - len(values)
+    if bad > 0.01 * total:
+        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures)
+        raise IngestError(f"{bad}/{total} lines failed to parse: {detail}")
+    return CircularSample(np.array(values))
+
+
+def _outcome(ingest, path, fmt):
+    """The array bytes, or the type and text of the error."""
+    try:
+        return ingest(path, fmt).values.tobytes()
+    except (IngestError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+_GOOD_LINE = {
+    "unit": st.floats(0.0, 1.0, exclude_max=True).map(repr),
+    "degrees": st.floats(0.0, 360.0, exclude_max=True).map(repr),
+    "hhmm": st.builds("{:02d}:{:02d}".format, st.integers(0, 23), st.integers(0, 59)),
+}
+# out of range, unparsable or blank in some format; the padding "\x1c" and
+# "\x1f" is stripped by str.strip() but refused by float()
+_ODD_LINE = st.sampled_from(
+    ["1.5", "-0.25", "-0.0", "360", "359.5", "24:00", "7:5", "12:30", "12:-0", "n/a", "0x1",
+     "1_0", "nan", "inf", "-inf", "1e400", "0.5.5", "", " "]
+)
+_PAD = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\x1c", "\x1f", "\xa0", "\u3000"])
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _data_files(draw):
+    """A format and the text of a file in it: mostly good lines, a few odd
+    ones and empty lines at random places, padded and ended in every way."""
+    fmt = draw(st.sampled_from(sorted(_GOOD_LINE)))
+    texts = draw(st.lists(_GOOD_LINE[fmt], max_size=300))
+    for odd in draw(st.lists(_ODD_LINE, max_size=5)):
+        texts.insert(draw(st.integers(0, len(texts))), odd)
+    frame = st.tuples(_PAD, _PAD, _END)
+    frames = draw(st.lists(frame, min_size=len(texts), max_size=len(texts)))
+    lines = [f"{a}{t}{b}{e}" for t, (a, b, e) in zip(texts, frames)]
+    for end in draw(st.lists(_END, max_size=30)):
+        lines.insert(draw(st.integers(0, len(lines))), end)
+    return fmt, "".join(lines)
 
 
 class TestExperimentConfig:
@@ -322,6 +390,43 @@ class TestIngest:
         # list of the file's lines would add about 15 MiB
         assert peak < 8 * 2 ** 20
 
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(data=_data_files(), block_chars=st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_block_parse_matches_per_line_loop(self, tmp_path_factory, data, block_chars):
+        fmt, text = data
+        p = tmp_path_factory.mktemp("ingest") / "d.txt"
+        p.write_bytes(text.encode())
+        # small blocks put block boundaries everywhere in a short file
+        with mock.patch.object(harness, "_BLOCK_CHARS", block_chars):
+            assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
+
+    def test_failures_quoted_in_line_order_across_blocks(self, tmp_path):
+        p = tmp_path / "d.txt"
+        # equal-length lines, so that the block boundaries do not move
+        # when a good line is replaced by a bad one
+        n = 4 * harness._BLOCK_CHARS // 6
+        p.write_text("0.250\n" * n)
+        with open(p) as fh:
+            sizes = list(iter(lambda: len(fh.readlines(harness._BLOCK_CHARS)), 0))
+        assert len(sizes) >= 4
+        b1, b2 = sizes[0], sizes[0] + sizes[1]
+        # the last line of block 0, the first and last of block 1 and the
+        # first of block 2, a run inside block 1, then every 20th line
+        at = sorted(
+            {b1 - 1, b1, b2 - 1, b2, *range(b1 + 5, b1 + 25, 2), *range(b2 + 20, n, 20)}
+        )
+        lines = ["0.250\n"] * n
+        kinds = ["  1.5\n", "  n/a\n"]
+        for j, i in enumerate(at):
+            lines[i] = kinds[j % 2]
+        p.write_text("".join(lines))
+        with pytest.raises(IngestError) as exc:
+            ingest_circular_data(p, "unit")
+        messages = ["value 1.5 outside [0, 1)", "could not convert string to float: 'n/a'"]
+        quoted = "; ".join(f"line {i + 1}: {messages[j % 2]}" for j, i in enumerate(at[:20]))
+        assert str(exc.value) == f"{len(at)}/{n} lines failed to parse: {quoted}"
+        assert str(exc.value) == _outcome(_per_line_ingest, p, "unit")[1]
+
     def test_unknown_format_refused_before_reading(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("0.1\n0.2\n0.3\n")
@@ -467,6 +572,15 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    @pytest.mark.parametrize("fmt, period", [("unit", 1.0), ("degrees", 360.0)])
+    def test_ingest_prints_each_value_to_17_digits(self, tmp_path, fmt, period):
+        values = (np.random.default_rng(5).random(200) * period).tolist()
+        data = tmp_path / "d.txt"
+        data.write_text("".join(f"{v!r}\n" for v in values))
+        res = self._run("ingest", str(data), "--format", fmt)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "\n".join(f"{v / period:.17g}" for v in values) + "\n"
 
     def test_lower_bound_command(self):
         res = self._run("lower-bound", "--n", "500")

@@ -60,6 +60,19 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             Calibration(0.05, A_bar=1e4, **constants)
 
+    @pytest.mark.parametrize("R", [np.nan, -3.0, 0.0, np.inf])
+    def test_bad_radius_refused(self, R):
+        eps = NoiseModel.mild(1.0, max_freq=64)
+        with pytest.raises(CalibrationError, match="R must be finite and positive"):
+            calibrate(0.05, eps, R)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 1 - 1e-9], ids=["nan", "inf", "below"])
+    def test_bad_a_bar_refused(self, scale):
+        ref = calibrate(0.05, NoiseModel.mild(1.0, sup_norm_value=1.0), R=1.0)
+        a_bar = ref.A_tilde * scale
+        with pytest.raises(CalibrationError, match="A_bar must be finite"):
+            Calibration(0.05, ref.C_alpha, ref.A_tilde, a_bar, eps_sup=ref.eps_sup)
+
     def test_a_tilde_must_exceed_c(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
         with pytest.raises(CalibrationError):
