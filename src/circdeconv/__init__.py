@@ -73,7 +73,6 @@ from .rates import (
 )
 from .sampling import (
     CircularSample,
-    Rng,
     sample_batch,
 )
 from .testing import (

@@ -61,6 +61,13 @@ def _add_model_args(p):
     g.add_argument("--radius", type=float, help="ellipsoid radius R")
 
 
+def _scan_max_exp(text: str) -> int:
+    """--scan-max-exp E: the scan runs n = 2^8..2^E, and its slope fit needs 4 points."""
+    if not (text.isdigit() and int(text) >= 11):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 11, got {text!r}")
+    return int(text)
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The model flags as an ExperimentConfig, so the CLI builds its
     smoothness class, noise model and k exactly as the harness does.
@@ -249,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="theoretical rates and finite-n scan")
     _add_model_args(p)
     p.add_argument("--scan", action="store_true", help="include a finite-n scan")
-    p.add_argument("--scan-max-exp", type=int, default=16, help="scan n up to 2^E")
+    p.add_argument(
+        "--scan-max-exp", type=_scan_max_exp, default=16, help="scan n up to 2^E (E >= 11)"
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_rates)
 

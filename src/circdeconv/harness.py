@@ -2,10 +2,11 @@
 
 Determinism contract: an ExperimentReport is a pure function of
 (ExperimentConfig, seed). Replications are grouped into fixed-size
-batches; batch b of scenario s at grid point g draws from the child
-generator spawned at key (s, g, b), and batch results are reduced in
-index order. The thread count only changes execution order, never the
-stream assignment, so reports are byte-identical at any parallelism.
+batches; batch b of cell c (a scenario, or the null or a ladder step) at
+grid point g draws from numpy's SeedSequence(seed, spawn_key=(c, g, b)),
+and batch results are reduced in index order. The thread count only
+changes execution order, never the stream assignment, so reports are
+byte-identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import numbers
-import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from functools import partial
 
 import numpy as np
@@ -35,7 +36,7 @@ from .fourier import (
 )
 from .lowerbounds import build_hypercube, build_two_point
 from .rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq, radius_upper
-from .sampling import CircularSample, Rng, sample_batch
+from .sampling import CircularSample, sample_batch
 from .testing import calibrate
 
 __all__ = [
@@ -74,7 +75,8 @@ class ExperimentConfig:
     Construction only validates: a wrongly typed, fractional, empty or
     out-of-range value raises a ValueError naming its field. replications
     is at least 2, so that every row has a standard error; threads and
-    noise_max_freq are at least 1, and seed at least 0. replications and
+    noise_max_freq are at least 1, seed at least 0, and each A in a_ladder
+    a finite number > 0 (A = 0 is the null row's key). replications and
     seed take an int; threads, noise_max_freq, the n in n_grid and a
     fixed k_rule also take an integral float such as 64.0.
     """
@@ -117,6 +119,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
         for n in self.n_grid:
             _check_integer("n in n_grid", n)
+        for a in self.a_ladder:
+            if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
+                raise ValueError(f"every A in a_ladder must be a finite number > 0, got {a!r}")
         for name, low in (("replications", 2), ("threads", 1), ("noise_max_freq", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -180,17 +185,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Rows of per-(n, scenario) results plus reproducibility metadata.
-
-    wall_clock is measurement noise, not content: it is excluded from
-    serialization and hashing so identical (config, seed) runs emit
-    byte-identical reports regardless of machine load or thread count.
-    """
+    """Rows of per-(n, scenario) results plus reproducibility metadata."""
 
     kind: str
     rows: tuple
-    metadata: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
+    metadata: dict
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "rows": [dict(r) for r in self.rows], "metadata": self.metadata}
@@ -200,28 +199,37 @@ class ExperimentReport:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _report(cfg: ExperimentConfig, kind: str, rows: list, **meta) -> ExperimentReport:
+    """The report of a run of cfg: its rows, the metadata that reproduces
+    them, and meta, the entries particular to the kind."""
+    metadata = dict(config=cfg.identity_dict(), config_hash=cfg.config_hash(), seed=cfg.seed)
+    return ExperimentReport(kind, tuple(rows), {**metadata, **meta, "artifact_version": 1})
+
+
 # -- Monte Carlo engine -------------------------------------------------
 
 
-def _q_hats(sampler, n: int, reps: int, rng: Rng, threads: int, eps: NoiseModel, k: int):
-    """q_hat_k of reps independent n-samples, in replication order.
+def _q_hats(cfg: ExperimentConfig, cell: tuple, sampler, n: int, eps: NoiseModel, k: int):
+    """q_hat_k of cfg.replications independent n-samples, in order.
 
-    sampler(gen, batch_size, n) -> (batch_size, n) observation matrix.
-    Batches are dispatched to a thread pool but concatenated in index
-    order for determinism.
+    cell is (scenario or ladder index, grid index), and batch b of the cell
+    draws from np.random.SeedSequence(cfg.seed, spawn_key=cell + (b,)).
+    sampler(gen, batch_size, n) -> (batch_size, n) observation matrix. At
+    threads == 1 the batches run in the calling thread, otherwise in a
+    thread pool; either way they are concatenated in index order.
     """
-    n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
+    reps = cfg.replications
+    seeds = np.random.SeedSequence(cfg.seed, spawn_key=cell).spawn(-(-reps // _BATCH_SIZE))
 
     def one_batch(b):
         size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
-        gen = rng.child(b).generator()
-        return estimate_q_batch(sampler(gen, size, n), eps, k)
+        return estimate_q_batch(sampler(np.random.default_rng(seeds[b]), size, n), eps, k)
 
-    if threads <= 1:
-        parts = [one_batch(b) for b in range(n_batches)]
+    if cfg.threads == 1:
+        parts = [one_batch(b) for b in range(len(seeds))]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_batch, range(n_batches)))
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            parts = list(pool.map(one_batch, range(len(seeds))))
     return np.concatenate(parts)
 
 
@@ -302,39 +310,20 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cls = cfg.smoothness_class()
     eps = cfg.noise_model()
     rows = []
-    t0 = time.perf_counter()
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
         scen = _risk_scenarios(cfg, cls, eps, n, k)
+        at_n = dict(n=n, k=k, nu_k_sq=nu_k_sq(eps, n, k))
         for s_idx, name in enumerate(cfg.scenarios):
             sampler, q_true = scen[name]
-            rng = Rng(cfg.seed, (s_idx, n_idx))
-            q_hat = _q_hats(sampler, n, cfg.replications, rng, cfg.threads, eps, k)
+            q_hat = _q_hats(cfg, (s_idx, n_idx), sampler, n, eps, k)
             risk, risk_se = _mean_se((q_hat - q_true) ** 2)
-            rows.append(
-                {
-                    "n": n,
-                    "scenario": name,
-                    "k": k,
-                    "q_true": q_true,
-                    "risk": risk,
-                    "risk_se": risk_se,
-                    "nu_k_sq": nu_k_sq(eps, n, k),
-                }
-            )
+            rows.append(dict(at_n, scenario=name, q_true=q_true, risk=risk, risk_se=risk_se))
     for n in cfg.n_grid:
         max_row = max((r for r in rows if r["n"] == n), key=lambda r: r["risk"])
         rows.append({**max_row, "scenario": "max"})
-    meta = {
-        "config": cfg.identity_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "risk_proxy": "max over finite stress set (lower proxy for maximal risk)",
-        "artifact_version": 1,
-    }
-    return ExperimentReport(
-        kind="risk", rows=tuple(rows), metadata=meta, wall_clock=time.perf_counter() - t0
-    )
+    proxy = "max over finite stress set (lower proxy for maximal risk)"
+    return _report(cfg, "risk", rows, risk_proxy=proxy)
 
 
 def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -345,7 +334,6 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     eps = cfg.noise_model()
     cal = calibrate(cfg.alpha, eps, cls.radius)
     rows = []
-    t0 = time.perf_counter()
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
         thr = cal.threshold(eps, n, k)
@@ -354,8 +342,7 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # observed magnitudes theta_j |eps_j| of the all-plus vertex; refuses,
         # as the risk experiment does, a kappa* above the noise's max_freq
         theta_obs_base = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
-        rng0 = Rng(cfg.seed, (0, n_idx))
-        q_hat = _q_hats(_null_sampler, n, cfg.replications, rng0, cfg.threads, eps, k)
+        q_hat = _q_hats(cfg, (0, n_idx), _null_sampler, n, eps, k)
         type1, se1 = _mean_se((q_hat >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
         at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
@@ -367,35 +354,14 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             if not l1_certified(fam.base_coeffs * scale):
                 rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
-            rng1 = Rng(cfg.seed, (1 + a_idx, n_idx))
             sampler = _mixture_sampler(theta_obs_base * scale)
-            q_hat = _q_hats(sampler, n, cfg.replications, rng1, cfg.threads, eps, k)
+            q_hat = _q_hats(cfg, (1 + a_idx, n_idx), sampler, n, eps, k)
             type2, se2 = _mean_se((q_hat < thr).astype(float))
             rows.append(
-                {
-                    **at_n,
-                    "A": a_mult,
-                    "type2": type2,
-                    "error_sum": type1 + type2,
-                    "se": se2,
-                    "feasible": True,
-                }
+                dict(at_n, A=a_mult, type2=type2, error_sum=type1 + type2, se=se2, feasible=True)
             )
-    meta = {
-        "config": cfg.identity_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "calibration": {
-            "alpha": cal.alpha,
-            "C_alpha": cal.C_alpha,
-            "A_tilde": cal.A_tilde,
-            "A_bar": cal.A_bar,
-        },
-        "artifact_version": 1,
-    }
-    return ExperimentReport(
-        kind="test", rows=tuple(rows), metadata=meta, wall_clock=time.perf_counter() - t0
-    )
+    calibration = {name: getattr(cal, name) for name in ("alpha", "C_alpha", "A_tilde", "A_bar")}
+    return _report(cfg, "test", rows, calibration=calibration)
 
 
 # -- data ingestion -----------------------------------------------------

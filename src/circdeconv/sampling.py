@@ -11,8 +11,8 @@ in closed form. Draws carry no grid or interpolation error, and each
 costs O(1) work beyond one vectorized comparison per component.
 
 Reproducibility contract: a sample is fully determined by the density,
-the sample size and the seed. Parallel work derives independent child
-generators from (master seed, index) spawn keys, never from shared state.
+the sample size and the generator's state. The sampler keeps no state of
+its own, so parallel callers give each worker its own generator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .fourier import l1_certified
 
 __all__ = [
     "CircularSample",
-    "Rng",
     "sample_batch",
 ]
 
@@ -52,26 +51,6 @@ class CircularSample:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class Rng:
-    """Splittable seeded generator handle.
-
-    The same (seed, spawn_key) always yields the same stream; children are
-    derived by extending the spawn key, so parallel consumers never share
-    state.
-    """
-
-    seed: int
-    spawn_key: tuple = ()
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        return np.random.default_rng(ss)
-
-    def child(self, *indices: int) -> "Rng":
-        return Rng(self.seed, self.spawn_key + tuple(indices))
 
 
 def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:

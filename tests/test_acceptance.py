@@ -23,7 +23,6 @@ from circdeconv import (
     ExperimentConfig,
     FourierDensity,
     NoiseModel,
-    Rng,
     SmoothnessClass,
     build_hypercube,
     build_two_point,
@@ -54,6 +53,11 @@ MILD = NoiseModel.mild(1.0)
 SEVERE = NoiseModel.severe(1.0)
 
 
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """The generator of numpy's SeedSequence(seed, spawn_key=(i,))."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def _report(label: str, ok: bool, detail: str) -> bool:
     print(f"{label}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -75,7 +79,7 @@ def test_criterion_01_estimator_unbiased():
     reps = 10 ** 5
     zs = []
     for i, (n, k, eps) in enumerate(configs):
-        gen = Rng(101).child(i).generator()
+        gen = _stream(101, i)
         g = observed_density(f, eps)
         y = sample_batch(g.coeffs[np.newaxis, 1:], reps * n, gen).reshape(reps, n)
         qhat = estimate_q_batch(y, eps, k)
@@ -170,7 +174,7 @@ def test_criterion_03_null_variance_bound():
     reps, n, k = 10 ** 5, 100, 2
     ratios, zs = [], []
     for i, eps in enumerate(models):
-        gen = Rng(303).child(i).generator()
+        gen = _stream(303, i)
         qhat = estimate_q_batch(gen.random((reps, n)), eps, k)
         v = qhat.var(ddof=1)
         centered = qhat - qhat.mean()
@@ -208,7 +212,7 @@ def test_criterion_04_test_calibration():
     eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
     cls = SmoothnessClass.ordinary(1.0)
     kappa = optimal_dim_est(cls, eps, n)
-    stats = estimate_q_batch(Rng(404).child(0).generator().random((reps, n)), eps, kappa)
+    stats = estimate_q_batch(_stream(404, 0).random((reps, n)), eps, kappa)
     nu2 = nu_k_sq(eps, n, kappa)
     details, oks = [], []
     for alpha in (0.05, 0.2):
@@ -240,12 +244,10 @@ def test_criterion_05_lower_bound_indistinguishability():
     fam = build_hypercube(cls, eps, n, alpha)  # raises if any condition fails
     cal = calibrate(alpha, eps, 1.0)
     thr = cal.threshold(eps, n, fam.kappa)
-    null_stats = estimate_q_batch(
-        Rng(505).child(0).generator().random((reps, n)), eps, fam.kappa
-    )
+    null_stats = estimate_q_batch(_stream(505, 0).random((reps, n)), eps, fam.kappa)
     t1 = float(np.mean(null_stats >= thr))
     # per replication a uniform sign vector tau, then Y ~ f^tau (*) eps
-    gen = Rng(505).child(1).generator()
+    gen = _stream(505, 1)
     taus = gen.choice([-1.0, 1.0], size=(reps, fam.kappa))
     theta_obs = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
     alt_stats = estimate_q_batch(sample_batch(taus * theta_obs, n, gen), eps, fam.kappa)

@@ -17,7 +17,7 @@ from circdeconv.fourier import (
     observed_density,
     truncated_functional,
 )
-from circdeconv.sampling import Rng, sample_batch
+from circdeconv.sampling import sample_batch
 
 
 class TestEmpiricalCoeffs:
@@ -28,14 +28,14 @@ class TestEmpiricalCoeffs:
         assert np.allclose(rows, 1.0)
 
     def test_matches_naive_double_loop(self):
-        vals = Rng(1).generator().random(64)
+        vals = np.random.default_rng(1).random(64)
         rows = empirical_coeffs_batch(vals[np.newaxis, :], 8)
         for j in range(1, 9):
             naive = np.mean([np.exp(-2j * np.pi * j * y) for y in vals])
             assert abs(rows[0, j - 1] - naive) < 1e-12
 
     def test_modulus_at_most_one(self):
-        rows = empirical_coeffs_batch(Rng(2).generator().random(50)[np.newaxis, :], 20)
+        rows = empirical_coeffs_batch(np.random.default_rng(2).random(50)[np.newaxis, :], 20)
         assert np.all(np.abs(rows) <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize(
@@ -44,7 +44,7 @@ class TestEmpiricalCoeffs:
         ids=["one-row-blocks", "partial-last-block", "single-row"],
     )
     def test_blocked_matches_whole_batch(self, shape):
-        y = Rng(3).generator().random(shape)
+        y = np.random.default_rng(3).random(shape)
         assert np.array_equal(empirical_coeffs_batch(y, 6), _whole_batch_coeffs(y, 6))
 
     @settings(deadline=None, max_examples=50, derandomize=True)
@@ -64,7 +64,7 @@ class TestEmpiricalCoeffs:
             assert np.array_equal(rows[i], empirical_coeffs_batch(y[i : i + 1], j_max)[0])
 
     def test_allocation_bounded_by_block(self):
-        y = Rng(4).generator().random((32, 2 ** 16))
+        y = np.random.default_rng(4).random((32, 2 ** 16))
         tracemalloc.start()
         try:
             empirical_coeffs_batch(y, 12)
@@ -112,16 +112,16 @@ class TestUnbiasedSqModulus:
         f = FourierDensity.from_tail([0.3])
         eps = NoiseModel.mild(1.0, max_freq=1)
         reps, n = 20_000, 50
-        y = _observed_matrix(f, eps, reps, n, Rng(10))
+        y = _observed_matrix(f, eps, reps, n, np.random.default_rng(10))
         vals = np.array([estimate_q(y[r], eps, 1) for r in range(200)])
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 2 * 0.3 ** 2) <= 3 * se
 
 
-def _observed_matrix(f, eps, reps, n, rng):
+def _observed_matrix(f, eps, reps, n, gen):
     """reps x n draws from g = f (*) eps, all from one sampler call."""
     g = observed_density(f, eps)
-    return sample_batch(g.coeffs[np.newaxis, 1:], reps * n, rng.generator()).reshape(reps, n)
+    return sample_batch(g.coeffs[np.newaxis, 1:], reps * n, gen).reshape(reps, n)
 
 
 class TestEstimateQ:
@@ -134,7 +134,7 @@ class TestEstimateQ:
 
     def test_null_mean_near_zero(self):
         eps = NoiseModel.mild(1.0)
-        y = Rng(5).generator().random((5000, 40))
+        y = np.random.default_rng(5).random((5000, 40))
         q = estimate_q_batch(y, eps, 3)
         se = q.std(ddof=1) / np.sqrt(q.size)
         assert abs(q.mean()) <= 3 * se
@@ -142,7 +142,7 @@ class TestEstimateQ:
     def test_unbiased_for_truncated_functional(self):
         f = FourierDensity.from_tail([0.3, 0.15])
         eps = NoiseModel.mild(1.0, max_freq=2)
-        y = _observed_matrix(f, eps, 5000, 100, Rng(6))
+        y = _observed_matrix(f, eps, 5000, 100, np.random.default_rng(6))
         q = estimate_q_batch(y, eps, 2)
         se = q.std(ddof=1) / np.sqrt(q.size)
         target = truncated_functional(f, 2)
@@ -150,14 +150,14 @@ class TestEstimateQ:
 
     def test_batch_matches_single(self):
         eps = NoiseModel.severe(1.0)
-        y = Rng(7).generator().random((6, 25))
+        y = np.random.default_rng(7).random((6, 25))
         batch = estimate_q_batch(y, eps, 3)
         singles = [estimate_q(y[b], eps, 3) for b in range(6)]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_permutation_invariance(self):
         eps = NoiseModel.mild(1.0)
-        vals = Rng(8).generator().random(30)
+        vals = np.random.default_rng(8).random(30)
         q1 = estimate_q(vals, eps, 4)
         q2 = estimate_q(np.sort(vals), eps, 4)
         assert q1 == pytest.approx(q2, abs=1e-12)

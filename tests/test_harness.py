@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circdeconv
-from circdeconv import harness
+from circdeconv import harness, testing
+from circdeconv.estimation import estimate_q_batch
 from circdeconv.errors import IngestError, InvalidDensityError
 from circdeconv.fourier import NoiseModel, SmoothnessClass, quadratic_functional
 from circdeconv.harness import (
@@ -26,7 +27,7 @@ from circdeconv.harness import (
     run_test_experiment,
 )
 from circdeconv.lowerbounds import build_two_point
-from circdeconv.rates import optimal_dim_est, optimal_two_point_freq
+from circdeconv.rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq
 from circdeconv.sampling import CircularSample
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
@@ -54,8 +55,20 @@ CONFIGS = st.builds(
     threads=_INTEGRAL,
     noise_max_freq=_INTEGRAL,
     scenarios=st.lists(_SCENARIO, min_size=1),
-    a_ladder=st.lists(st.floats(0.0, 100.0)),
+    a_ladder=st.lists(st.floats(0.0, 100.0, exclude_min=True)),
 )
+
+
+def _null_q_hats(cfg, cell, n, k):
+    """q_hat_k of every replication of a null cell, drawn by the stream
+    rule: batch b from numpy's SeedSequence(seed, spawn_key=cell + (b,))."""
+    starts = range(0, cfg.replications, harness._BATCH_SIZE)
+    y = np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(*cell, b)))
+        .random((min(harness._BATCH_SIZE, cfg.replications - start), n))
+        for b, start in enumerate(starts)
+    ])
+    return estimate_q_batch(y, cfg.noise_model(), k)
 
 
 def _per_line_ingest(path, fmt):
@@ -225,6 +238,17 @@ class TestRiskExperiment:
         r2 = run_risk_experiment(ExperimentConfig(threads=2, **base))
         assert emit_report(r1, "json") == emit_report(r2, "json")
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_null_rows_follow_stream_rule(self, threads):
+        # 300 replications end in a partial batch
+        cfg = ExperimentConfig(n_grid=(32, 64), replications=300, seed=13, threads=threads)
+        rows = run_risk_experiment(cfg).rows
+        for g, n in enumerate(cfg.n_grid):
+            (row,) = [r for r in rows if r["n"] == n and r["scenario"] == "null"]
+            k = optimal_dim_est(cfg.smoothness_class(), cfg.noise_model(), n)
+            assert row["k"] == k
+            assert row["risk"] == float(np.mean(_null_q_hats(cfg, (0, g), n, k) ** 2))
+
     def test_two_point_scenario(self):
         base = dict(n_grid=(64, 256), replications=200, scenarios=("two_point",), seed=3)
         r1 = run_risk_experiment(ExperimentConfig(threads=1, **base))
@@ -295,6 +319,22 @@ class TestTestExperiment:
         )
         with pytest.raises(InvalidDensityError, match="129.*64"):
             run_test_experiment(cfg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_type_one_follows_stream_rule(self, threads):
+        # the calibrated threshold puts type I at 0 whatever the draws, so
+        # the threshold nu_k^2 stands in for it
+        cfg = ExperimentConfig(n_grid=(32, 64), replications=300, seed=13, threads=threads)
+        eps = cfg.noise_model()
+        with mock.patch.object(
+            testing.TestCalibration, "threshold", lambda self, eps, n, k: nu_k_sq(eps, n, k)
+        ):
+            rows = run_test_experiment(cfg).rows
+        for g, (n, row) in enumerate(zip(cfg.n_grid, rows)):
+            k = optimal_dim_est(cfg.smoothness_class(), eps, n)
+            q_hat = _null_q_hats(cfg, (0, g), n, k)
+            assert 0 < row["type1"] < 1
+            assert row["type1"] == float(np.mean(q_hat >= nu_k_sq(eps, n, k)))
 
     def test_type_two_monotone_in_separation(self):
         cfg = ExperimentConfig(
@@ -459,11 +499,6 @@ class TestReports:
         rehash = ExperimentConfig.from_json_dict(report.metadata["config"]).config_hash()
         assert report.metadata["config_hash"] == rehash
 
-    def test_wall_clock_excluded_from_serialization(self):
-        report = run_risk_experiment(ExperimentConfig(scenarios=("null",), **SMALL))
-        assert report.wall_clock > 0
-        assert "wall_clock" not in json.dumps(report.to_json_dict())
-
 
 class TestCli:
     def _run(self, *args, cwd=None):
@@ -564,6 +599,12 @@ class TestCli:
             {"noise_max_freq": 0},
             {"noise_max_freq": -3},
             {"seed": -1},
+            {"a_ladder": [float("nan")]},
+            {"a_ladder": [float("inf")]},
+            {"a_ladder": [0.0]},
+            {"a_ladder": [-1.0]},
+            {"a_ladder": [True]},
+            {"a_ladder": ["x"]},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):
@@ -572,6 +613,13 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    @pytest.mark.parametrize("max_exp", ["10", "3", "-1", "x"])
+    def test_scan_max_exp_below_eleven_is_usage_error(self, max_exp):
+        # the scan runs n = 2^8 .. 2^E, and its slope fit needs 4 points
+        res = self._run("rates", "--scan", "--scan-max-exp", max_exp)
+        assert res.returncode == 1
+        assert "--scan-max-exp: must be an integer >= 11" in res.stderr
 
     @pytest.mark.parametrize("fmt, period", [("unit", 1.0), ("degrees", 360.0)])
     def test_ingest_prints_each_value_to_17_digits(self, tmp_path, fmt, period):

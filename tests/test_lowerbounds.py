@@ -20,7 +20,7 @@ from circdeconv.lowerbounds import (
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
 from circdeconv.rates import optimal_two_point_freq
-from circdeconv.sampling import Rng, sample_batch
+from circdeconv.sampling import sample_batch
 
 CLS = SmoothnessClass.ordinary(1.0)
 EPS = NoiseModel.mild(1.0)
@@ -66,7 +66,7 @@ class TestHypercube:
 
     def test_mixture_sampling_first_moment(self):
         fam = build_hypercube(CLS, EPS, 200, 0.5)
-        gen = Rng(21).generator()
+        gen = np.random.default_rng(21)
         taus = gen.choice([-1.0, 1.0], size=(400, fam.kappa))
         y = sample_batch(taus * _observed_magnitudes(fam), 100, gen)
         assert y.shape == (400, 100)

@@ -25,7 +25,7 @@ from circdeconv.rates import (
     theoretical_estimation_rate,
     theoretical_testing_radius,
 )
-from circdeconv.sampling import Rng, sample_batch
+from circdeconv.sampling import sample_batch
 
 DYADIC = [2 ** e for e in range(8, 23)]
 
@@ -332,7 +332,7 @@ class TestRiskUpperBound:
         for tail in ([0.25], [0.2, 0.1], [0.1, 0.1, 0.05]):
             f = FourierDensity.from_tail(tail)
             g = observed_density(f, eps)
-            draws = sample_batch(g.coeffs[np.newaxis, 1:], 400 * n, Rng(12).generator())
+            draws = sample_batch(g.coeffs[np.newaxis, 1:], 400 * n, np.random.default_rng(12))
             y = draws.reshape(400, n)
             err = (estimate_q_batch(y, eps, k) - quadratic_functional(f)) ** 2
             assert err.mean() <= bd.total

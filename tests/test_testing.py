@@ -5,7 +5,6 @@ from circdeconv.errors import CalibrationError
 from circdeconv.estimation import estimate_q_batch
 from circdeconv.fourier import FourierDensity, NoiseModel, SmoothnessClass
 from circdeconv.rates import nu_k_sq, optimal_dim_est, radius_upper
-from circdeconv.sampling import Rng
 # renamed: pytest would collect the name, and a test class below takes it
 from circdeconv.testing import TestCalibration as Calibration
 from circdeconv.testing import TestResult as Result
@@ -95,14 +94,14 @@ class TestRunTest:
     def test_threshold_is_c_alpha_nu_k_sq(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
         cal = calibrate(0.1, eps, R=1.0)
-        res = run_test(Rng(1).generator().random(50), eps, 3, cal)
+        res = run_test(np.random.default_rng(1).random(50), eps, 3, cal)
         assert res.threshold == cal.threshold(eps, 50, 3) == cal.C_alpha * nu_k_sq(eps, 50, 3)
         assert res.nu_k_sq == nu_k_sq(eps, 50, 3)
 
     def test_threshold_positive(self):
         eps = NoiseModel.mild(1.0, sup_norm_value=1.0)
         cal = calibrate(0.1, eps, R=1.0)
-        res = run_test(Rng(0).generator().random(50), eps, 3, cal)
+        res = run_test(np.random.default_rng(0).random(50), eps, 3, cal)
         assert res.threshold > 0
 
     def test_type_one_error_controlled(self):
@@ -111,7 +110,7 @@ class TestRunTest:
         cal = calibrate(alpha, eps, R=1.0)
         n = 200
         k = optimal_dim_est(SmoothnessClass.ordinary(1.0), eps, n)
-        y = Rng(13).generator().random((3000, n))
+        y = np.random.default_rng(13).random((3000, n))
         thr = cal.C_alpha * nu_k_sq(eps, n, k)
         rej = np.mean(estimate_q_batch(y, eps, k) >= thr)
         assert rej <= alpha + 3 * np.sqrt(alpha * (1 - alpha) / 3000)
