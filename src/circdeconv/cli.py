@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -68,9 +68,10 @@ def _scan_max_exp(text: str) -> int:
     return int(text)
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """The model flags as an ExperimentConfig, so the CLI builds its
-    smoothness class, noise model and k exactly as the harness does.
+def _models_from_args(args):
+    """The model flags as an ExperimentConfig with the smoothness class and
+    noise model it builds, so the CLI checks and builds its models exactly
+    as the harness does, before any other work.
 
     A given flag sets the config field named by its dest; --k sets k_rule,
     with "auto" meaning "kappa_star".
@@ -79,7 +80,8 @@ def _config_from_args(args) -> ExperimentConfig:
         f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if hasattr(args, f.name)
     }
     k = getattr(args, "k", "auto")
-    return ExperimentConfig(**given, k_rule="kappa_star" if k == "auto" else k)
+    cfg = ExperimentConfig(**given, k_rule="kappa_star" if k == "auto" else k)
+    return cfg, cfg.smoothness_class(), cfg.noise_model()
 
 
 def _write_out(text: str, out):
@@ -93,10 +95,9 @@ def _write_out(text: str, out):
 def _data_setup(args):
     """Config, data sample, noise model and k of a data command. The model
     flags are checked before the file is read."""
-    cfg = _config_from_args(args)
+    cfg, cls, eps = _models_from_args(args)
     sample = ingest_circular_data(args.data, args.format)
-    eps = cfg.noise_model()
-    return cfg, sample, eps, resolve_k(cfg, cfg.smoothness_class(), eps, sample.n)
+    return cfg, sample, eps, resolve_k(cfg, cls, eps, sample.n)
 
 
 def cmd_estimate(args) -> int:
@@ -111,53 +112,28 @@ def cmd_test(args) -> int:
     cal = calibrate(cfg.alpha, eps, cfg.radius)
     res = run_test(sample.values, eps, k, cal)
     result = {
-        "n": sample.n,
-        "k": res.k,
-        "statistic": res.statistic,
-        "threshold": res.threshold,
-        "nu_k_sq": res.nu_k_sq,
-        "decision": res.decision,
-        "alpha": cfg.alpha,
-        "C_alpha": cal.C_alpha,
+        "n": sample.n, **asdict(res), "decision": res.decision,
+        "alpha": cfg.alpha, "C_alpha": cal.C_alpha,
     }
     _write_out(json.dumps(result, indent=2), args.out)
     return 0
 
 
 def cmd_rates(args) -> int:
-    cfg = _config_from_args(args)
-    cls = cfg.smoothness_class()
-    eps = cfg.noise_model()
+    cfg, cls, eps = _models_from_args(args)
     est = theoretical_estimation_rate(cls, eps)
-    tst = theoretical_testing_radius(cls, eps)
     out = {
-        "regime": {
-            "smoothness": cfg.smoothness,
-            "s": cfg.s,
-            "illposedness": cfg.illposedness,
-            "p": cfg.p,
-        },
-        "estimation_rate": {"n_exp": est.rate.n_exp, "log_exp": est.rate.log_exp},
+        "regime": {name: getattr(cfg, name) for name in ("smoothness", "s", "illposedness", "p")},
+        "estimation_rate": asdict(est.rate),
         "estimation_elbow": est.elbow,
         "elbow_condition": est.elbow_condition,
-        "testing_radius": {"n_exp": tst.rate.n_exp, "log_exp": tst.rate.log_exp},
+        "testing_radius": asdict(theoretical_testing_radius(cls, eps).rate),
     }
     if args.scan:
-        ns = [2 ** e for e in range(8, args.scan_max_exp + 1)]
-        rows = numeric_rate_scan(cls, eps, ns)
-        out["scan"] = [
-            {
-                "n": r.n,
-                "kappa_star": r.kappa_star,
-                "rho_star_sq": r.rho_star_sq,
-                "r_star4": r.r_star4,
-                "base_term": r.base,
-            }
-            for r in rows
-        ]
+        rows = numeric_rate_scan(cls, eps, [2 ** e for e in range(8, args.scan_max_exp + 1)])
+        out["scan"] = [asdict(r) for r in rows]
         slope, _, r2 = fit_rate([r.n for r in rows], [r.rho_star_sq for r in rows])
-        out["fitted_radius_slope"] = slope
-        out["fit_r_squared"] = r2
+        out.update(fitted_radius_slope=slope, fit_r_squared=r2)
     _write_out(json.dumps(out, indent=2), args.out)
     return 0
 
@@ -179,14 +155,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    cfg = _config_from_args(args)
-    cls = cfg.smoothness_class()
-    eps = cfg.noise_model()
-    out = {"n": args.n, "alpha": cfg.alpha}
-    ok = True
-    try:
+    cfg, cls, eps = _models_from_args(args)
+
+    def hypercube():
         fam = build_hypercube(cls, eps, args.n, cfg.alpha)
-        out["hypercube"] = {
+        return {
             "kappa_star": fam.kappa,
             "zeta": fam.zeta,
             "eta": fam.eta,
@@ -194,26 +167,27 @@ def cmd_lower_bound(args) -> int:
             "separation_sq": fam.separation_sq,
             "similarity": fam.similarity,
             "vertex_plus": fam.vertex(np.ones(fam.kappa)).to_json_dict(),
-            "conditions": "all pass",
         }
-    except ConditionViolation as e:
-        ok = False
-        out["hypercube"] = {"conditions": f"FAIL {e.condition}", "detail": str(e)}
-    try:
-        m = optimal_two_point_freq(cls, eps, args.n)
-        pair = build_two_point(cls, eps, args.n, m)
-        out["two_point"] = {
+
+    def two_point():
+        pair = build_two_point(cls, eps, args.n, optimal_two_point_freq(cls, eps, args.n))
+        return {
             "m": pair.m,
             "xi": pair.xi,
             "C": pair.C,
             "separation_sq": pair.separation_sq,
             "f_plus": pair.f_plus.to_json_dict(),
             "f_minus": pair.f_minus.to_json_dict(),
-            "conditions": "all pass",
         }
-    except ConditionViolation as e:
-        ok = False
-        out["two_point"] = {"conditions": f"FAIL {e.condition}", "detail": str(e)}
+
+    out = {"n": args.n, "alpha": cfg.alpha}
+    ok = True
+    for name, build in (("hypercube", hypercube), ("two_point", two_point)):
+        try:
+            out[name] = {**build(), "conditions": "all pass"}
+        except ConditionViolation as e:
+            ok = False
+            out[name] = {"conditions": f"FAIL {e.condition}", "detail": str(e)}
     _write_out(json.dumps(out, indent=2), args.out)
     return 0 if ok else CHECK_FAILED
 

@@ -35,7 +35,7 @@ from .fourier import (
     quadratic_functional,
 )
 from .lowerbounds import build_hypercube, build_two_point
-from .rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq, radius_upper
+from .rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq
 from .sampling import CircularSample, sample_batch
 from .testing import calibrate
 
@@ -142,6 +142,10 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "a_ladder", tuple(float(a) for a in self.a_ladder))
+        for name in ("n_grid", "scenarios", "a_ladder"):
+            value = getattr(self, name)
+            if any(v in value[:i] for i, v in enumerate(value)):
+                raise ValueError(f"{name} must not repeat an entry, got {list(value)!r}")
 
     def smoothness_class(self) -> SmoothnessClass:
         if self.smoothness == "ordinary":
@@ -329,7 +333,7 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical type I error and, per separation multiplier A in the
     ladder, type II error of the calibrated test under the hypercube
-    alternative scaled to q(f) = A^2 rho*^2."""
+    alternative scaled to q(f) = A^2 rho*^2, with rho*^2 the family's."""
     cls = cfg.smoothness_class()
     eps = cfg.noise_model()
     cal = calibrate(cfg.alpha, eps, cls.radius)
@@ -337,7 +341,6 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
         thr = cal.threshold(eps, n, k)
-        rho_sq = radius_upper(cls, eps, n, k)
         fam = build_hypercube(cls, eps, n, cfg.alpha)
         # observed magnitudes theta_j |eps_j| of the all-plus vertex; refuses,
         # as the risk experiment does, a kappa* above the noise's max_freq
@@ -345,7 +348,7 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         q_hat = _q_hats(cfg, (0, n_idx), _null_sampler, n, eps, k)
         type1, se1 = _mean_se((q_hat >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
-        at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_sq)
+        at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=fam.rho_star_sq)
         rows.append({**at_n, "A": 0.0, "se": se1})
         a_base = np.sqrt(fam.a_lower_sq)
         for a_idx, a_mult in enumerate(cfg.a_ladder):

@@ -54,6 +54,8 @@ class HypercubeFamily:
     vector tau has f_j = tau_j * theta_j. Every vertex is a certified
     density inside the ellipsoid, separated from uniform by exactly
     zeta * eta * rho_star^2 in squared norm.
+    rho_star_sq is max(a_k^2, nu_k^2) at the crossing k = kappa*, at least
+    the scan's ScanRow.rho_star_sq, the minimum of the same over k.
     """
 
     base_coeffs: np.ndarray
@@ -305,28 +307,27 @@ def testing_to_estimation_lb(rho_sq: float, alpha: float, A_lower: float) -> flo
     return (1.0 - alpha) * A_lower ** 2 / 8.0 * rho_sq ** 2
 
 
-def exact_mixture_chi2(theta, n: int, quad_points: int = 256) -> float:
+def exact_mixture_chi2(theta, n: int) -> float:
     """Exact chi^2 divergence between the sign-mixture and the null.
 
     theta holds the observation-space coefficient magnitudes (f_j |eps_j|)
     for j = 1..kappa. Enumerates all 2^kappa sign vectors and integrates
-    the squared n-fold product mixture by tensor quadrature on [0,1)^n;
-    the equispaced rule is exact for trigonometric polynomials once
-    quad_points exceeds twice the total spectral degree 2*n*kappa.
-    Limited to n <= 3, kappa <= 3 (cost grows as quad_points^n).
+    the squared n-fold product mixture by tensor quadrature on [0,1)^n.
+    Limited to n <= 3, kappa <= 3 (cost grows as 64^n).
     """
     theta = np.asarray(theta, dtype=float)
     kappa = theta.size
     if n > 3 or kappa > 3:
         raise ValueError("exact enumeration limited to n <= 3 and kappa <= 3")
-    if quad_points <= 4 * n * kappa:
-        raise ValueError("quadrature grid too coarse to be exact")
+    # 64 equispaced points integrate the squared mixture exactly: its degree
+    # is at most 4 n kappa <= 36 < 64
+    points = 64
     j = np.arange(1, kappa + 1)
-    xs = np.arange(quad_points) / quad_points
+    xs = np.arange(points) / points
     phases = np.exp(2j * np.pi * np.outer(j, xs))  # (kappa, G)
     taus = list(itertools.product((-1.0, 1.0), repeat=kappa))
     dens = np.array([1.0 + 2.0 * np.real((t * theta) @ phases) for t in taus])
-    mix = np.zeros((quad_points,) * n)
+    mix = np.zeros((points,) * n)
     for d in dens:
         prod = d
         for _ in range(n - 1):
@@ -334,4 +335,4 @@ def exact_mixture_chi2(theta, n: int, quad_points: int = 256) -> float:
         mix += prod
     mix /= len(taus)
     # null density is identically 1, so chi^2 = integral of mix^2 - 1
-    return float(np.sum(mix ** 2)) / quad_points ** n - 1.0
+    return float(np.sum(mix ** 2)) / points ** n - 1.0

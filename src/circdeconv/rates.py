@@ -261,15 +261,18 @@ def theoretical_testing_radius(cls: SmoothnessClass, eps: NoiseModel) -> RateRep
 
 @dataclass(frozen=True)
 class ScanRow:
+    """rho_star_sq is min_k max(a_k^2, nu_k^2); HypercubeFamily.rho_star_sq
+    takes k = kappa*, so it is larger where the minimum sits at kappa* - 1."""
+
     n: int
     kappa_star: int
     rho_star_sq: float
     r_star4: float
-    base: float
+    base_term: float
 
     @property
     def estimation_bound(self) -> float:
-        return max(self.r_star4, self.base)
+        return max(self.r_star4, self.base_term)
 
 
 def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
@@ -294,7 +297,9 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
             nu2 = np.sqrt(2.0 * np.cumsum(eps.modulus(ks) ** -4.0)) / n
         rho2 = float(np.min(np.maximum(a2, nu2)))
         b, _ = base_term(cls, eps, n)
-        rows.append(ScanRow(n=n, kappa_star=kappa, rho_star_sq=rho2, r_star4=rho2 ** 2, base=b))
+        rows.append(
+            ScanRow(n=n, kappa_star=kappa, rho_star_sq=rho2, r_star4=rho2 ** 2, base_term=b)
+        )
     return rows
 
 

@@ -99,9 +99,9 @@ def calibrate(alpha: float, eps: NoiseModel, R: float) -> TestCalibration:
 class TestResult:
     """The statistic and threshold of one test; ties are rejections."""
 
+    k: int
     statistic: float
     threshold: float
-    k: int
     nu_k_sq: float
 
     @property
@@ -117,4 +117,5 @@ def run_test(values: np.ndarray, eps: NoiseModel, k: int, cal: TestCalibration) 
     """Run the level-alpha uniformity test at truncation level k on a 1-d
     array of observations: reject when q_hat_k >= C_alpha nu_k^2."""
     n = values.size
-    return TestResult(estimate_q(values, eps, k), cal.threshold(eps, n, k), k, nu_k_sq(eps, n, k))
+    stat, thr = estimate_q(values, eps, k), cal.threshold(eps, n, k)
+    return TestResult(k=k, statistic=stat, threshold=thr, nu_k_sq=nu_k_sq(eps, n, k))

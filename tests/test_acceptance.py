@@ -316,7 +316,7 @@ def test_criterion_07_elbow_effect():
     cls = SmoothnessClass.ordinary(2.0)
     grid = [2 ** e for e in range(8, 23)]
     rows = numeric_rate_scan(cls, MILD, grid)
-    dominates = all(r.base >= r.r_star4 for r in rows)
+    dominates = all(r.base_term >= r.r_star4 for r in rows)
     s_est, _, _ = fit_rate([r.n for r in rows], [r.estimation_bound for r in rows])
     wide = [2 ** e for e in range(8, 31)]
     rows_w = numeric_rate_scan(cls, MILD, wide)
@@ -360,7 +360,7 @@ def test_criterion_09_chi2_mixture_bound():
                 else [np.array([t1, t2]) for t1 in vals for t2 in vals]
             )
             for theta in thetas:
-                exact = exact_mixture_chi2(theta, n, quad_points=64)
+                exact = exact_mixture_chi2(theta, n)
                 bound = chi2_mixture_bound(theta, n)
                 worst = max(worst, exact - bound)
                 count += 1

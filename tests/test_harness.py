@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circdeconv
-from circdeconv import harness, testing
+from circdeconv import cli, harness, testing
 from circdeconv.estimation import estimate_q_batch
-from circdeconv.errors import IngestError, InvalidDensityError
+from circdeconv.errors import ConditionViolation, IngestError, InvalidDensityError
 from circdeconv.fourier import NoiseModel, SmoothnessClass, quadratic_functional
 from circdeconv.harness import (
     DATA_FORMATS,
@@ -26,7 +26,7 @@ from circdeconv.harness import (
     run_risk_experiment,
     run_test_experiment,
 )
-from circdeconv.lowerbounds import build_two_point
+from circdeconv.lowerbounds import build_hypercube, build_two_point
 from circdeconv.rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq
 from circdeconv.sampling import CircularSample
 
@@ -47,15 +47,16 @@ CONFIGS = st.builds(
     a_scale=_POSITIVE,
     eps_scale=st.floats(0.01, 1.0),
     radius=_POSITIVE,
-    n_grid=st.lists(st.one_of(_N, _N.map(float)), min_size=1),
+    # no entry repeats; 64 and 64.0 are the same n
+    n_grid=st.lists(st.one_of(_N, _N.map(float)), min_size=1, unique_by=int),
     replications=st.integers(2, 10 ** 5),
     alpha=st.floats(0.001, 0.999),
     k_rule=st.one_of(st.just("kappa_star"), _INTEGRAL, st.integers(1, 99).map(str)),
     seed=st.integers(0, 2 ** 32),
     threads=_INTEGRAL,
     noise_max_freq=_INTEGRAL,
-    scenarios=st.lists(_SCENARIO, min_size=1),
-    a_ladder=st.lists(st.floats(0.0, 100.0, exclude_min=True)),
+    scenarios=st.lists(_SCENARIO, min_size=1, unique=True),
+    a_ladder=st.lists(st.floats(0.0, 100.0, exclude_min=True), unique=True),
 )
 
 
@@ -336,6 +337,14 @@ class TestTestExperiment:
             assert 0 < row["type1"] < 1
             assert row["type1"] == float(np.mean(q_hat >= nu_k_sq(eps, n, k)))
 
+    def test_rho_star_sq_is_the_family_scale(self):
+        # at a fixed k the column is still the rho*^2 that scales the
+        # alternatives, q(f) = A^2 rho*^2, not max(a_k^2, nu_k^2) at k
+        cfg = ExperimentConfig(n_grid=(4096,), replications=2, k_rule=3)
+        (row,) = run_test_experiment(cfg).rows
+        fam = build_hypercube(cfg.smoothness_class(), cfg.noise_model(), 4096, cfg.alpha)
+        assert row["k"] == 3 and row["rho_star_sq"] == fam.rho_star_sq
+
     def test_type_two_monotone_in_separation(self):
         cfg = ExperimentConfig(
             n_grid=(128,), replications=500, a_ladder=(0.05, 0.15, 0.25), seed=9
@@ -564,6 +573,51 @@ class TestCli:
         assert res.returncode == 2
         assert f"{field} must be finite" in res.stderr
 
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_model_flags_checked_before_the_file(self, tmp_path, command):
+        res = self._run(command, str(tmp_path / "missing.txt"), "--p", "0.3")
+        assert res.returncode == 2
+        assert "p > 1/2" in res.stderr
+
+    def test_printed_record_keys(self, tmp_path, capsys):
+        # every record the commands print, key by key and in order, so a
+        # field added to ScanRow, TestResult or OrderDescriptor shows here
+        def printed(*argv, code=0):
+            assert cli.main(list(argv)) == code
+            return json.loads(capsys.readouterr().out)
+
+        rate = ["n_exp", "log_exp"]
+        out = printed("rates", "--scan", "--scan-max-exp", "11")
+        assert list(out) == [
+            "regime", "estimation_rate", "estimation_elbow", "elbow_condition",
+            "testing_radius", "scan", "fitted_radius_slope", "fit_r_squared",
+        ]
+        assert list(out["regime"]) == ["smoothness", "s", "illposedness", "p"]
+        assert list(out["estimation_rate"]) == rate and list(out["testing_radius"]) == rate
+        assert list(out["scan"][0]) == ["n", "kappa_star", "rho_star_sq", "r_star4", "base_term"]
+
+        hypercube = [
+            "kappa_star", "zeta", "eta", "rho_star_sq", "separation_sq", "similarity",
+            "vertex_plus", "conditions",
+        ]
+        two_point = ["m", "xi", "C", "separation_sq", "f_plus", "f_minus", "conditions"]
+        out = printed("lower-bound", "--n", "500")
+        assert list(out) == ["n", "alpha", "hypercube", "two_point"]
+        assert list(out["hypercube"]) == hypercube and list(out["two_point"]) == two_point
+        out = printed("lower-bound", "--n", "1000", "--a-scale", "2", code=3)
+        assert list(out["hypercube"]) == hypercube
+        assert list(out["two_point"]) == ["conditions", "detail"]
+        # the hypercube passed at every CLI model tried, so its FAIL form is forced
+        with mock.patch.object(cli, "build_hypercube", side_effect=ConditionViolation("(x)", "")):
+            out = printed("lower-bound", "--n", "500", code=3)
+        assert list(out["hypercube"]) == ["conditions", "detail"]
+
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(str(v) for v in np.random.default_rng(0).random(50)))
+        assert list(printed("test", str(data), "--k", "2")) == [
+            "n", "k", "statistic", "threshold", "nu_k_sq", "decision", "alpha", "C_alpha",
+        ]
+
     def test_usage_error_exit_code(self):
         res = self._run("estimate")  # missing data argument
         assert res.returncode == 1
@@ -605,6 +659,10 @@ class TestCli:
             {"a_ladder": [-1.0]},
             {"a_ladder": [True]},
             {"a_ladder": ["x"]},
+            {"n_grid": [64, 64]},
+            {"n_grid": [64, 64.0]},
+            {"scenarios": ["null", "null"]},
+            {"a_ladder": [1.0, 1.0]},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):

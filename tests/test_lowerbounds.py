@@ -92,18 +92,18 @@ class TestChi2Bound:
             for kappa in (1, 2):
                 for t in (0.05, 0.15, 0.3):
                     theta = np.full(kappa, t)
-                    exact = exact_mixture_chi2(theta, n, quad_points=64)
+                    exact = exact_mixture_chi2(theta, n)
                     assert exact >= -1e-12
                     assert exact <= chi2_mixture_bound(theta, n) + 1e-12
 
     def test_exact_chi2_nonnegative_and_zero_at_null(self):
-        assert exact_mixture_chi2(np.zeros(2), 2, quad_points=64) == pytest.approx(0.0, abs=1e-12)
+        assert exact_mixture_chi2(np.zeros(2), 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_mc_estimate_consistent_with_family(self):
         fam = build_hypercube(CLS, EPS, 40, 0.3)
         if fam.kappa <= 3:
             theta = _observed_magnitudes(fam)
-            est = exact_mixture_chi2(theta, 2, 512)
+            est = exact_mixture_chi2(theta, 2)
             assert 0 <= est <= chi2_mixture_bound(theta, 2) + 1e-12
 
     def test_size_limits(self):

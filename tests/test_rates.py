@@ -145,14 +145,14 @@ class TestNumericScan:
 
     def test_elbow_base_dominates(self):
         rows = numeric_rate_scan(SmoothnessClass.ordinary(2.0), NoiseModel.mild(1.0), DYADIC)
-        assert all(r.base >= r.r_star4 for r in rows)
+        assert all(r.base_term >= r.r_star4 for r in rows)
         slope, _, _ = fit_rate([r.n for r in rows], [r.estimation_bound for r in rows])
         assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_no_elbow_without_condition(self):
         rows = numeric_rate_scan(SmoothnessClass.ordinary(1.0), NoiseModel.mild(1.0), DYADIC)
         # r*^4 dominates the base term once n is moderately large
-        assert all(r.r_star4 >= r.base for r in rows[2:])
+        assert all(r.r_star4 >= r.base_term for r in rows[2:])
 
     def test_severe_log_exponent_relative(self):
         # (log n)^{-4s/p} regimes: exponent recovered to 5% relative error
