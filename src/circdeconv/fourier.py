@@ -152,9 +152,6 @@ class FourierDensity:
         floating noise; it is checked and discarded.
         """
         x = np.asarray(x, dtype=float)
-        if self.max_freq == 0:
-            out = np.ones_like(x)
-            return out if out.ndim else 1.0
         j = np.arange(1, self.max_freq + 1)
         phases = np.exp(2j * np.pi * np.multiply.outer(x, j))
         half = phases @ self.coeffs[1:]
@@ -252,8 +249,6 @@ def ellipsoid_membership(f: FourierDensity, cls: "SmoothnessClass"):
         Membership flag and the value of the weighted tail sum.
     """
     j = np.arange(1, f.max_freq + 1)
-    if j.size == 0:
-        return True, 0.0
     lhs = 2.0 * float(np.sum(np.abs(f.coeffs[1:]) ** 2 / cls.a(j) ** 2))
     return lhs <= cls.radius ** 2 + 1e-12, lhs
 
@@ -409,12 +404,12 @@ class NoiseModel:
         return replace(self, density=FourierDensity.from_tail(tail))
 
     @classmethod
-    def from_density(cls, density: FourierDensity, sup_norm: Optional[float] = None):
+    def from_density(cls, density: FourierDensity):
         if density.max_freq < 1:
             raise ValueError("noise density has no frequency: its tail is empty")
         if np.any(np.abs(density.coeffs[1:]) == 0.0):
             raise ValueError("noise coefficients must be non-vanishing")
-        return cls(kind="explicit", density=density, sup_norm_value=sup_norm)
+        return cls(kind="explicit", density=density)
 
     def modulus(self, j) -> np.ndarray:
         """|eps_j| for integer frequencies j >= 1; strictly positive."""

@@ -52,6 +52,9 @@ __all__ = [
 
 _BATCH_SIZE = 128
 
+# the stress set of the risk experiment, as named in a config's scenarios
+_SCENARIOS = ("null", "hypercube", "two_point", "boundary")
+
 
 def _check_integer(name: str, value, integral_float: bool = True) -> None:
     """Raise ValueError naming the field unless value is an int (a bool is
@@ -76,9 +79,10 @@ class ExperimentConfig:
     out-of-range value raises a ValueError naming its field. replications
     is at least 2, so that every row has a standard error; threads and
     noise_max_freq are at least 1, seed at least 0, and each A in a_ladder
-    a finite number > 0 (A = 0 is the null row's key). replications and
-    seed take an int; threads, noise_max_freq, the n in n_grid and a
-    fixed k_rule also take an integral float such as 64.0.
+    a finite number > 0 (A = 0 is the null row's key); each scenario is
+    one of _SCENARIOS. replications and seed take an int; threads,
+    noise_max_freq, the n in n_grid and a fixed k_rule also take an
+    integral float such as 64.0.
     """
 
     smoothness: str = "ordinary"
@@ -122,6 +126,10 @@ class ExperimentConfig:
         for a in self.a_ladder:
             if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
                 raise ValueError(f"every A in a_ladder must be a finite number > 0, got {a!r}")
+        for name in self.scenarios:
+            if name not in _SCENARIOS:
+                expected = ", ".join(_SCENARIOS)
+                raise ValueError(f"unknown scenario {name!r} in scenarios; expected {expected}")
         for name, low in (("replications", 2), ("threads", 1), ("noise_max_freq", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -296,10 +304,8 @@ def _risk_scenarios(cfg: ExperimentConfig, cls, eps, n: int, k: int):
             f = fam.vertex(np.ones(fam.kappa))
         elif name == "two_point":
             f = build_two_point(cls, eps, n, optimal_two_point_freq(cls, eps, n)).f_plus
-        elif name == "boundary":
+        else:  # "boundary"
             f = _boundary_density(cls, k)
-        else:
-            raise ValueError(f"unknown scenario {name!r}")
         out[name] = (_fixed_density_sampler(observed_density(f, eps)), quadratic_functional(f))
     return out
 
@@ -379,7 +385,7 @@ def _parse_fraction(period: float, text: str) -> float:
 
 
 def _parse_hhmm(text: str) -> float:
-    h, _, m = text.partition(":")
+    h, _, m = text.strip().partition(":")
     # int() would also take a sign, blanks or underscores
     if not (h.isascii() and h.isdigit() and m.isascii() and m.isdigit()):
         raise ValueError(f"invalid time {text!r}")
@@ -403,11 +409,10 @@ DATA_FORMATS = {
 _BLOCK_CHARS = 1 << 16
 
 
-def _convert_block(lines: list, convert, strip: bool):
-    """convert applied to the non-blank lines of a block of raw lines
-    (stripped first if strip), in line order. Returns the values, the
-    positions of the refused lines among the non-blank ones, and the line
-    index of each non-blank line.
+def _convert_block(lines: list, convert):
+    """convert applied to the non-blank lines of a block of raw lines, in
+    line order, with NaN for each line it refuses. Returns the values and
+    the line index of each non-blank line.
 
     Blank lines are set aside first, since each would cost the bulk map
     an exception. A line that convert refuses is retried on its stripped
@@ -419,27 +424,18 @@ def _convert_block(lines: list, convert, strip: bool):
     if any(map(str.isspace, lines)):
         kept = [i for i, line in enumerate(lines) if not line.isspace()]
         lines = [lines[i] for i in kept]
-    values, refused = [], []
-    it = map(convert, map(str.strip, lines) if strip else lines)
+    values = []
+    it = map(convert, lines)
     while True:
         try:
             values.extend(it)
-            return values, refused, kept
+            return values, kept
         except ValueError:
             # extend keeps the values appended before the refused line
-            i = len(values) + len(refused)
             try:
-                values.append(convert(lines[i].strip()))
+                values.append(convert(lines[len(values)].strip()))
             except ValueError:
-                refused.append(i)
-
-
-def _refusal(parse, text: str) -> str:
-    """The message with which parse refuses text, a line it refuses."""
-    try:
-        parse(text)
-    except ValueError as e:
-        return str(e)
+                values.append(math.nan)
 
 
 def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
@@ -457,28 +453,24 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     parse = DATA_FORMATS.get(fmt)
     if parse is None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(DATA_FORMATS)}")
-    period = _PERIODS.get(fmt)
-    # float() strips the raw line itself; the range check is done per block
-    convert = parse if period is None else float
+    # float() reads a line of a fractional format; an hhmm value is already
+    # a fraction of a day, so its period is 1
+    convert, period = (float, _PERIODS[fmt]) if fmt in _PERIODS else (parse, 1.0)
     out, failures, total, pos = array("d"), [], 0, 0
     try:
         with open(path) as fh:
             while lines := fh.readlines(_BLOCK_CHARS):
-                values, quoted, kept = _convert_block(lines, convert, period is None)
+                values, kept = _convert_block(lines, convert)
                 total += len(kept)
                 block = np.array(values, dtype=float)
-                if period is not None:
-                    ok = (block >= 0.0) & (block < period)
-                    if not ok.all():
-                        if len(failures) < 20:
-                            at = np.delete(np.arange(len(kept)), quoted)[~ok]
-                            quoted = sorted(quoted + at.tolist())
-                        block = block[ok]
-                    block = block / period
-                for i in quoted[: 20 - len(failures)]:
-                    text = lines[kept[i]].strip()
-                    failures.append((pos + kept[i] + 1, _refusal(parse, text)))
-                out.frombytes(block.tobytes())
+                # a refused line is NaN, so this one check catches every bad line
+                ok = (block >= 0.0) & (block < period)
+                for i in np.flatnonzero(~ok)[: 20 - len(failures)]:
+                    try:
+                        parse(lines[kept[i]].strip())
+                    except ValueError as e:
+                        failures.append((pos + kept[i] + 1, str(e)))
+                out.frombytes((block[ok] / period).tobytes())
                 pos += len(lines)
     except (OSError, UnicodeDecodeError) as e:
         raise IngestError(f"cannot read {path}: {e}") from e

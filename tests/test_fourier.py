@@ -24,7 +24,8 @@ class TestFourierDensity:
     def test_uniform_has_unit_mass_only(self):
         f = FourierDensity.uniform()
         assert f.max_freq == 0
-        assert f.evaluate(0.3) == 1.0
+        assert f.evaluate(0.3) == 1.0 and type(f.evaluate(0.3)) is float
+        assert np.array_equal(f.evaluate([0.1, 0.7]), [1.0, 1.0])
 
     def test_f0_must_be_one(self):
         with pytest.raises(InvalidDensityError):
@@ -149,6 +150,7 @@ class TestFunctionals:
         assert inside and lhs == pytest.approx(0.02)
         outside, _ = ellipsoid_membership(FourierDensity.from_tail([0.9]), cls)
         assert not outside
+        assert ellipsoid_membership(FourierDensity.uniform(), cls) == (True, 0.0)
 
 
 class TestZeta:

@@ -367,7 +367,7 @@ class TestIngest:
         s = ingest_circular_data(p, "hhmm")
         assert np.allclose(s.values, [0.5, 1439 / 1440, 0.0])
 
-    @pytest.mark.parametrize("bad", ["-0:30", "+1:15", "12:-0"])
+    @pytest.mark.parametrize("bad", ["-0:30", "+1:15", "12:-0", "24:00", "12:60"])
     def test_hhmm_signed_field_is_bad_line(self, tmp_path, bad):
         p = tmp_path / "d.txt"
         p.write_text("\n".join(["07:05", "23:59"] * 50 + [bad]) + "\n")
@@ -573,6 +573,19 @@ class TestCli:
         assert res.returncode == 2
         assert f"{field} must be finite" in res.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--radius", "-1", "radius must be positive"),
+            ("--a-scale", "0", "scale must be positive"),
+            ("--eps-scale", "1.5", "scale must lie in (0, 1]"),
+        ],
+    )
+    def test_out_of_range_model_flag_exit_code(self, flag, value, message):
+        res = self._run("rates", flag, value)
+        assert res.returncode == 2
+        assert message in res.stderr
+
     @pytest.mark.parametrize("command", ["estimate", "test"])
     def test_model_flags_checked_before_the_file(self, tmp_path, command):
         res = self._run(command, str(tmp_path / "missing.txt"), "--p", "0.3")
@@ -663,6 +676,8 @@ class TestCli:
             {"n_grid": [64, 64.0]},
             {"scenarios": ["null", "null"]},
             {"a_ladder": [1.0, 1.0]},
+            {"scenarios": ["bogus"]},
+            {"s": "1.0"},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):
@@ -671,6 +686,27 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    def test_simulate_test_refuses_unknown_scenario(self, tmp_path):
+        # the test experiment never samples the scenarios, yet a config that
+        # names an unknown one is refused before any work
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [64], "seed": 1, "scenarios": ["bogus"]}))
+        res = self._run("simulate-test", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "scenarios" in res.stderr and res.stdout == ""
+
+    def test_seed_and_threads_flags_override_the_config(self, tmp_path):
+        def report(config, *flags):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_grid": [64], "replications": 300, **config}))
+            res = self._run("simulate-risk", "--config", str(cfg), *flags)
+            assert res.returncode == 0, res.stderr
+            return res.stdout
+
+        assert report({"seed": 1}, "--threads", "2") == report({"seed": 1, "threads": 1})
+        assert report({"seed": 1}, "--seed", "5") == report({"seed": 5})
+        assert report({"seed": 1}) != report({"seed": 5})
 
     @pytest.mark.parametrize("max_exp", ["10", "3", "-1", "x"])
     def test_scan_max_exp_below_eleven_is_usage_error(self, max_exp):
