@@ -10,8 +10,9 @@ truncates at level k and corrects the plug-in bias of |g_hat_j|^2:
 which is exactly unbiased for the truncated functional
 2 sum_{j<=k} |f_j|^2. It is a U-statistic over ordered pairs of
 observations, which gives an exact variance decomposition and the risk
-bound implemented in rates.risk_upper_bound. The single-sample estimator
-is a one-row call into the batch kernels.
+bound implemented in rates.risk_upper_bound. Each row sums over j in
+index order, so the single-sample estimator, a one-row call into the batch
+kernels, equals that row of any batch bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     Every operation is elementwise or reduces one whole row, so each row
     is bit-identical to evaluating the formula on the whole batch at once.
     """
+    if y.ndim != 2 or j_max < 1:
+        raise ValueError(f"need a (B, n) y and j_max >= 1, got y.shape {y.shape}, j_max {j_max}")
     b, n = y.shape
     r = max(1, _BLOCK_ELEMS // max(n, 1))
     base = np.empty((min(r, b), n), dtype=complex)
@@ -73,16 +76,15 @@ def estimate_q(values: np.ndarray, eps: NoiseModel, k: int) -> float:
 
 
 def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
-    """q_hat_k for every row of a (B, n) observation matrix."""
-    if k < 1:
-        raise ValueError("truncation level k must be >= 1")
-    n = y.shape[1]
-    if n < 2:
-        raise ValueError("estimator needs n >= 2")
+    """q_hat_k for every row of a (B, n) observation matrix; a row's value
+    does not depend on the other rows."""
+    n = y.shape[-1]
+    if k < 1 or n < 2:
+        raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
     m2 = np.abs(empirical_coeffs_batch(y, k)) ** 2
     corrected = m2 - (1.0 - m2) / (n - 1)
     w = eps.modulus(np.arange(1, k + 1)) ** 2
-    return 2.0 * corrected @ (1.0 / w)
+    return 2.0 * np.cumsum(corrected / w, axis=1)[:, -1]
 
 
 def u_statistic_form(values: np.ndarray, eps: NoiseModel, k: int) -> float:

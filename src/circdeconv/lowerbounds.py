@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
-from .rates import nu_k_sq, optimal_dim_est
+from .rates import optimal_dim_est, variance_sums
 
 __all__ = [
     "HypercubeFamily",
@@ -109,12 +109,12 @@ def build_hypercube(
     l_a = cls.l_a
     kappa = optimal_dim_est(cls, eps, n)
     a2 = float(cls.a(np.array([kappa]))[0]) ** 2
-    nu2 = nu_k_sq(eps, n, kappa)
-    eta = min(a2, nu2) / max(a2, nu2)  # equals rates.find_eta
-    rho_star_sq = max(a2, nu2)  # equals rates.radius_upper at kappa*
+    s = float(variance_sums(eps, kappa)[-1])
+    nu2 = float(np.sqrt(s)) / n
+    eta = min(a2, nu2) / max(a2, nu2)
+    rho_star_sq = max(a2, nu2)
     zeta = min(cls.radius ** 2, np.sqrt(np.log(1.0 + 2.0 * alpha ** 2)), 1.0 / l_a)
     mod = eps.modulus(np.arange(1, kappa + 1))
-    s = 2.0 * float(np.sum(mod ** -4.0))
     theta = np.sqrt(zeta * eta) * np.sqrt(rho_star_sq) * mod ** -2.0 / np.sqrt(s)
 
     vertex = FourierDensity.from_tail(theta)

@@ -28,6 +28,7 @@ __all__ = [
     "RateReport",
     "RiskBoundBreakdown",
     "ScanRow",
+    "variance_sums",
     "nu_k_sq",
     "optimal_dim_est",
     "base_term",
@@ -57,21 +58,25 @@ def _window(eps: NoiseModel, limit: int) -> int:
     return limit
 
 
+def variance_sums(eps: NoiseModel, k: int) -> np.ndarray:
+    """S_1..S_k, S_k = 2 sum_{j<=k} |eps_j|^{-4}, summed in index order: S_k is
+    the same float in every call that covers k (inf once |eps_j| underflows)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 2.0 * np.cumsum(eps.modulus(np.arange(1, k + 1)) ** -4.0)
+
+
 def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
-    """Null fluctuation scale: (1/n) sqrt(2 sum_{j=1}^{k} |eps_j|^{-4}).
+    """Null fluctuation scale: nu_k^2 = sqrt(S_k) / n, S_k from variance_sums.
 
     Under the uniform null, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1) exactly.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    j = np.arange(1, k + 1)
-    with np.errstate(over="ignore"):
-        s = 2.0 * float(np.sum(eps.modulus(j) ** -4.0))
-    return float(np.sqrt(s)) / n
+    return float(np.sqrt(variance_sums(eps, k)[-1])) / n
 
 
 def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
-    """Optimal truncation: min{k : a_k^4 <= (2/n^2) sum_{j<=k} |eps_j|^{-4}}.
+    """Optimal truncation: min{k : a_k^4 <= S_k / n^2}, S_k from variance_sums.
 
     The left side is the squared bias of truncation, the right the
     variance proxy; the smallest crossing balances them.
@@ -79,11 +84,8 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
     k_max = _window(eps, K_MAX)
-    j = np.arange(1, k_max + 1)
-    a4 = cls.a(j) ** 4
-    with np.errstate(over="ignore", divide="ignore"):
-        var_proxy = 2.0 * np.cumsum(eps.modulus(j) ** -4.0) / n ** 2
-    hits = np.nonzero(a4 <= var_proxy)[0]
+    a4 = cls.a(np.arange(1, k_max + 1)) ** 4
+    hits = np.nonzero(a4 <= variance_sums(eps, k_max) / n ** 2)[0]
     if hits.size == 0:
         raise DimensionNotFound(
             f"no k <= {k_max} balances bias and variance at n = {n}"
@@ -293,8 +295,7 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
         # kappa*; scan a safety margin on both sides.
         ks = np.arange(1, min(_window(eps, K_MAX), 4 * kappa + 8) + 1)
         a2 = cls.a(ks) ** 2
-        with np.errstate(over="ignore"):
-            nu2 = np.sqrt(2.0 * np.cumsum(eps.modulus(ks) ** -4.0)) / n
+        nu2 = np.sqrt(variance_sums(eps, ks.size)) / n
         rho2 = float(np.min(np.maximum(a2, nu2)))
         b, _ = base_term(cls, eps, n)
         rows.append(

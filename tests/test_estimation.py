@@ -34,6 +34,14 @@ class TestEmpiricalCoeffs:
             naive = np.mean([np.exp(-2j * np.pi * j * y) for y in vals])
             assert abs(rows[0, j - 1] - naive) < 1e-12
 
+    @pytest.mark.parametrize(
+        "y, j_max, named",
+        [(np.zeros((2, 5)), 0, "j_max 0"), (np.zeros(5), 3, r"y.shape \(5,\)")],
+    )
+    def test_refuses_bad_arguments(self, y, j_max, named):
+        with pytest.raises(ValueError, match=named):
+            empirical_coeffs_batch(y, j_max)
+
     def test_modulus_at_most_one(self):
         rows = empirical_coeffs_batch(np.random.default_rng(2).random(50)[np.newaxis, :], 20)
         assert np.all(np.abs(rows) <= 1.0 + 1e-12)
@@ -131,6 +139,8 @@ class TestEstimateQ:
             estimate_q(np.array([0.1, 0.2]), eps, 0)
         with pytest.raises(ValueError):
             estimate_q(np.array([0.1]), eps, 2)
+        with pytest.raises(ValueError, match="y.shape"):
+            estimate_q_batch(np.array([0.1, 0.2]), eps, 2)
 
     def test_null_mean_near_zero(self):
         eps = NoiseModel.mild(1.0)
@@ -148,12 +158,25 @@ class TestEstimateQ:
         target = truncated_functional(f, 2)
         assert abs(q.mean() - target) <= 3 * se
 
-    def test_batch_matches_single(self):
-        eps = NoiseModel.severe(1.0)
-        y = np.random.default_rng(7).random((6, 25))
-        batch = estimate_q_batch(y, eps, 3)
-        singles = [estimate_q(y[b], eps, 3) for b in range(6)]
-        assert np.allclose(batch, singles, atol=1e-12)
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        b=st.integers(1, 40),
+        n=st.integers(2, 2 ** 14),
+        k=st.integers(1, 40),
+        noise=st.sampled_from([NoiseModel.mild(1.0), NoiseModel.severe(0.5)]),
+        cut=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_rows_match_single_and_sub_batch(self, b, n, k, noise, cut, seed):
+        # the sum over j runs in index order within a row, so a row's value
+        # does not depend on how many rows the call holds
+        y = np.random.default_rng(seed).random((b, n))
+        batch = estimate_q_batch(y, noise, k)
+        lo, hi = sorted(min(c, b - 1) for c in cut)
+        sub = estimate_q_batch(y[lo : hi + 1], noise, k)
+        for i in range(b):
+            assert batch[i] == estimate_q(y[i], noise, k)
+        assert np.array_equal(sub, batch[lo : hi + 1])
 
     def test_permutation_invariance(self):
         eps = NoiseModel.mild(1.0)

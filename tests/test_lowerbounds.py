@@ -19,7 +19,7 @@ from circdeconv.lowerbounds import (
     hellinger_reduction_bound,
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
-from circdeconv.rates import optimal_two_point_freq
+from circdeconv.rates import find_eta, numeric_rate_scan, optimal_two_point_freq, radius_upper
 from circdeconv.sampling import sample_batch
 
 CLS = SmoothnessClass.ordinary(1.0)
@@ -40,6 +40,21 @@ class TestHypercube:
             member, _ = ellipsoid_membership(vertex, CLS)
             assert member
             assert quadratic_functional(vertex) == pytest.approx(fam.separation_sq, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cls, eps, n",
+        [(CLS, EPS, 2 ** e) for e in range(8, 17)]
+        + [
+            (SmoothnessClass.supersmooth(0.5), NoiseModel.severe(0.25), 2 ** e)
+            for e in (36, 38, 40)
+        ],
+    )
+    def test_rho_star_from_the_rate_functions(self, cls, eps, n):
+        fam = build_hypercube(cls, eps, n, 0.05)
+        assert fam.eta == find_eta(cls, eps, n)
+        assert fam.rho_star_sq == radius_upper(cls, eps, n, fam.kappa)
+        # max(a^2, nu^2) at kappa* is at least its minimum over k
+        assert fam.rho_star_sq >= numeric_rate_scan(cls, eps, [n])[0].rho_star_sq
 
     def test_separation_identity_exact(self):
         fam = build_hypercube(CLS, EPS, 1000, 0.05)

@@ -24,6 +24,7 @@ from circdeconv.rates import (
     risk_upper_bound,
     theoretical_estimation_rate,
     theoretical_testing_radius,
+    variance_sums,
 )
 from circdeconv.sampling import sample_batch
 
@@ -249,6 +250,16 @@ class TestNuKSq:
         eps = NoiseModel.mild(1.0)
         vals = [nu_k_sq(eps, 50, k) for k in range(1, 10)]
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("eps", [NoiseModel.mild(0.75), NoiseModel.severe(0.5)])
+    def test_prefix_of_longer_sums(self, eps):
+        # summed in index order, S_k is the same float inside any longer sum;
+        # a pairwise np.sum of the severe p = 0.5 terms differs from it at
+        # 102 of k < 300, the first at k = 32
+        sums = variance_sums(eps, 300)
+        for k in range(1, 300):
+            assert np.array_equal(variance_sums(eps, k), sums[:k])
+            assert nu_k_sq(eps, 1000, k) == float(np.sqrt(sums[k - 1])) / 1000
 
 
 class TestOptimalDim:
