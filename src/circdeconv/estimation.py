@@ -22,6 +22,7 @@ import numpy as np
 from .fourier import NoiseModel
 
 __all__ = [
+    "block_rows",
     "empirical_coeffs_batch",
     "estimate_q",
     "estimate_q_batch",
@@ -34,21 +35,27 @@ __all__ = [
 _BLOCK_ELEMS = 1 << 16
 
 
+def block_rows(n: int) -> int:
+    """Rows per block of empirical_coeffs_batch at n observations per row:
+    about _BLOCK_ELEMS observations, and at least one row."""
+    return max(1, _BLOCK_ELEMS // max(n, 1))
+
+
 def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     """g_hat_1..g_hat_j_max for every row of a (B, n) observation matrix;
     returns shape (B, j_max).
 
     Powers of the base phase exp(-2 pi i Y) are accumulated cumulatively,
     costing O(B n j_max) with no redundant transcendental calls. Rows are
-    processed in blocks of about _BLOCK_ELEMS observations through two
-    buffers allocated per call (callers run it from several threads).
+    processed in blocks of block_rows(n) rows through two buffers
+    allocated per call (callers run it from several threads).
     Every operation is elementwise or reduces one whole row, so each row
     is bit-identical to evaluating the formula on the whole batch at once.
     """
     if y.ndim != 2 or j_max < 1:
         raise ValueError(f"need a (B, n) y and j_max >= 1, got y.shape {y.shape}, j_max {j_max}")
     b, n = y.shape
-    r = max(1, _BLOCK_ELEMS // max(n, 1))
+    r = block_rows(n)
     base = np.empty((min(r, b), n), dtype=complex)
     power = np.empty_like(base)
     out = np.empty((b, j_max), dtype=complex)
@@ -75,13 +82,22 @@ def estimate_q(values: np.ndarray, eps: NoiseModel, k: int) -> float:
     return float(estimate_q_batch(values[np.newaxis, :], eps, k)[0])
 
 
-def estimate_q_batch(y: np.ndarray, eps: NoiseModel, k: int) -> np.ndarray:
-    """q_hat_k for every row of a (B, n) observation matrix; a row's value
-    does not depend on the other rows."""
-    n = y.shape[-1]
-    if k < 1 or n < 2:
-        raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
-    m2 = np.abs(empirical_coeffs_batch(y, k)) ** 2
+def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
+    """q_hat_k for every row of y: a (B, n) observation matrix, or an
+    iterable of (rows, n) blocks taken in row order. A row's value depends
+    neither on the other rows nor on the blocking.
+
+    Each block goes through empirical_coeffs_batch as soon as it is
+    taken, and is not read again, so a block may be a view of a buffer
+    that the iterable overwrites for the next one.
+    """
+    coeffs = []
+    for blk in (y,) if isinstance(y, np.ndarray) else y:
+        n = blk.shape[-1]
+        if k < 1 or n < 2:
+            raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
+        coeffs.append(empirical_coeffs_batch(blk, k))
+    m2 = np.abs(np.concatenate(coeffs)) ** 2
     corrected = m2 - (1.0 - m2) / (n - 1)
     w = eps.modulus(np.arange(1, k + 1)) ** 2
     return 2.0 * np.cumsum(corrected / w, axis=1)[:, -1]

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import IngestError
-from .estimation import estimate_q_batch
+from .estimation import block_rows, estimate_q_batch
 from .fourier import (
     FourierDensity,
     NoiseModel,
@@ -226,7 +226,9 @@ def _q_hats(cfg: ExperimentConfig, cell: tuple, sampler, n: int, eps: NoiseModel
 
     cell is (scenario or ladder index, grid index), and batch b of the cell
     draws from np.random.SeedSequence(cfg.seed, spawn_key=cell + (b,)).
-    sampler(gen, batch_size, n) -> (batch_size, n) observation matrix. At
+    sampler(gen, batch_size, n) gives the batch's observations in a form
+    estimate_q_batch takes: a (batch_size, n) matrix, or (rows, n) blocks
+    in row order (the null sampler's reused-buffer views). At
     threads == 1 the batches run in the calling thread, otherwise in a
     thread pool; either way they are concatenated in index order.
     """
@@ -251,7 +253,13 @@ def _mean_se(x: np.ndarray):
 
 
 def _null_sampler(gen, size, n):
-    return gen.random((size, n))
+    """Uniform observations of size replications, yielded as successive
+    row blocks of the coefficient kernel's height. Each block is a view
+    of one reused buffer, valid only until the next block is requested;
+    in row order the blocks are exactly gen.random((size, n))."""
+    buf = np.empty((min(block_rows(n), size), n))
+    for start in range(0, size, len(buf)):
+        yield gen.random(out=buf[: size - start])
 
 
 def _fixed_density_sampler(g: FourierDensity):

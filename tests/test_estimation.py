@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circdeconv import harness
 from circdeconv.estimation import (
     empirical_coeffs_batch,
     estimate_q,
@@ -80,6 +81,18 @@ class TestEmpiricalCoeffs:
         finally:
             tracemalloc.stop()
         # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB
+        assert peak < 8 * 2 ** 20
+
+    def test_null_batch_allocation_bounded_by_block(self):
+        n = 2 ** 16
+        cfg = harness.ExperimentConfig(n_grid=(n,), replications=128, threads=1)
+        tracemalloc.start()
+        try:
+            harness._q_hats(cfg, (0, 0), harness._null_sampler, n, cfg.noise_model(), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the null batch drawn whole is a (128, 65536) matrix, 64 MiB
         assert peak < 8 * 2 ** 20
 
 

@@ -250,6 +250,21 @@ class TestRiskExperiment:
             assert row["k"] == k
             assert row["risk"] == float(np.mean(_null_q_hats(cfg, (0, g), n, k) ** 2))
 
+    @pytest.mark.parametrize(
+        "size, n, heights",
+        [(128, 3000, [21] * 6 + [2]), (3, 2 ** 16 + 3, [1, 1, 1]), (5, 64, [5])],
+        ids=["partial-last-block", "one-row-blocks", "one-block"],
+    )
+    def test_null_sampler_blocks_are_the_whole_draw(self, size, n, heights):
+        # the blocks are views of one buffer, so each is copied before the next
+        blocks = [blk.copy() for blk in harness._null_sampler(np.random.default_rng(21), size, n)]
+        assert [len(blk) for blk in blocks] == heights
+        whole = np.random.default_rng(21).random((size, n))
+        assert np.array_equal(np.concatenate(blocks), whole)
+        eps = NoiseModel.mild(1.0)
+        fed = estimate_q_batch(harness._null_sampler(np.random.default_rng(21), size, n), eps, 5)
+        assert np.array_equal(fed, estimate_q_batch(whole, eps, 5))
+
     def test_two_point_scenario(self):
         base = dict(n_grid=(64, 256), replications=200, scenarios=("two_point",), seed=3)
         r1 = run_risk_experiment(ExperimentConfig(threads=1, **base))
