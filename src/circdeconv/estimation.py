@@ -89,14 +89,21 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
 
     Each block goes through empirical_coeffs_batch as soon as it is
     taken, and is not read again, so a block may be a view of a buffer
-    that the iterable overwrites for the next one.
+    that the iterable overwrites for the next one. Every block must have
+    the first block's n, since the bias correction uses one n; an empty
+    iterable is refused too.
     """
     coeffs = []
     for blk in (y,) if isinstance(y, np.ndarray) else y:
+        if coeffs and blk.shape[-1] != n:
+            got = blk.shape[-1]
+            raise ValueError(f"every block needs the first block's n = {n}, got n = {got}")
         n = blk.shape[-1]
         if k < 1 or n < 2:
             raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
         coeffs.append(empirical_coeffs_batch(blk, k))
+    if not coeffs:
+        raise ValueError("estimator needs at least one block of observations")
     m2 = np.abs(np.concatenate(coeffs)) ** 2
     corrected = m2 - (1.0 - m2) / (n - 1)
     w = eps.modulus(np.arange(1, k + 1)) ** 2

@@ -56,14 +56,28 @@ _BATCH_SIZE = 128
 _SCENARIOS = ("null", "hypercube", "two_point", "boundary")
 
 
-def _check_integer(name: str, value, integral_float: bool = True) -> None:
-    """Raise ValueError naming the field unless value is an int (a bool is
-    not) or, with integral_float, a float with no fractional part (64.0)."""
-    ok = isinstance(value, numbers.Integral) or (
-        integral_float and isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not ok:
+def _integer(name: str, value, low: int, integral_float: bool = True, too_low: str = "") -> int:
+    """value as an int >= low; a ValueError naming the field unless value is an
+    int (a bool is not) or, with integral_float, an integral float (64.0)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral or integral_float and isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(too_low or f"{name} must be >= {low}")
+    return int(value)
+
+
+def _scenario(name) -> str:
+    if name not in _SCENARIOS:
+        expected = ", ".join(_SCENARIOS)
+        raise ValueError(f"unknown scenario {name!r} in scenarios; expected {expected}")
+    return name
+
+
+def _a_mult(a) -> float:
+    if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
+        raise ValueError(f"every A in a_ladder must be a finite number > 0, got {a!r}")
+    return float(a)
 
 
 @dataclass(frozen=True)
@@ -75,14 +89,16 @@ class ExperimentConfig:
     constants. k_rule is "kappa_star" or a fixed integer level.
     noise_max_freq truncates the noise density used for sampling.
 
-    Construction only validates: a wrongly typed, fractional, empty or
-    out-of-range value raises a ValueError naming its field. replications
-    is at least 2, so that every row has a standard error; threads and
-    noise_max_freq are at least 1, seed at least 0, and each A in a_ladder
-    a finite number > 0 (A = 0 is the null row's key); each scenario is
-    one of _SCENARIOS. replications and seed take an int; threads,
-    noise_max_freq, the n in n_grid and a fixed k_rule also take an
-    integral float such as 64.0.
+    Construction checks each field once and stores it in its canonical
+    type, so ==, config_hash() and the report do not depend on how a
+    value is spelled (64 or 64.0; 3, 3.0 or "3" as a fixed k). A wrongly
+    typed, fractional, empty, repeated or out-of-range value raises a
+    ValueError naming its field. replications is at least 2, so that
+    every row has a standard error; threads and noise_max_freq are at
+    least 1, seed at least 0, and each A in a_ladder a finite number > 0
+    (A = 0 is the null row's key); each scenario is one of _SCENARIOS.
+    replications and seed take an int, the other integer fields also an
+    integral float such as 64.0, stored as an int.
     """
 
     smoothness: str = "ordinary"
@@ -95,7 +111,7 @@ class ExperimentConfig:
     n_grid: tuple = (256,)
     replications: int = 1000
     alpha: float = 0.05
-    k_rule: str = "kappa_star"
+    k_rule: str | int = "kappa_star"
     seed: int = 0
     threads: int = 1
     noise_max_freq: int = 64
@@ -103,6 +119,7 @@ class ExperimentConfig:
     a_ladder: tuple = ()
 
     def __post_init__(self):
+        put = partial(object.__setattr__, self)
         if self.smoothness not in ("ordinary", "super"):
             raise ValueError(f"smoothness must be 'ordinary' or 'super', got {self.smoothness!r}")
         if self.illposedness not in ("mild", "severe"):
@@ -111,49 +128,31 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in ("replications", "seed"):
-            _check_integer(name, getattr(self, name), integral_float=False)
+            if name == "alpha" and not 0 < value < 1:
+                raise ValueError("alpha must lie in (0, 1)")
+            put(name, float(value))
+        for name, low in (("replications", 2), ("seed", 0)):
+            put(name, _integer(name, getattr(self, name), low, integral_float=False))
         for name in ("threads", "noise_max_freq"):
-            _check_integer(name, getattr(self, name))
-        for name in ("n_grid", "scenarios", "a_ladder"):
+            put(name, _integer(name, getattr(self, name), 1))
+        n_entry = partial(_integer, "n in n_grid", low=2, too_low="every n in n_grid must be >= 2")
+        for name, entry in (("n_grid", n_entry), ("scenarios", _scenario), ("a_ladder", _a_mult)):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
             if not value and name != "a_ladder":
                 raise ValueError(f"{name} must not be empty")
-        for n in self.n_grid:
-            _check_integer("n in n_grid", n)
-        for a in self.a_ladder:
-            if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
-                raise ValueError(f"every A in a_ladder must be a finite number > 0, got {a!r}")
-        for name in self.scenarios:
-            if name not in _SCENARIOS:
-                expected = ", ".join(_SCENARIOS)
-                raise ValueError(f"unknown scenario {name!r} in scenarios; expected {expected}")
-        for name, low in (("replications", 2), ("threads", 1), ("noise_max_freq", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if any(n < 2 for n in self.n_grid):
-            raise ValueError("every n in n_grid must be >= 2")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+            value = tuple(map(entry, value))
+            if any(v in value[:i] for i, v in enumerate(value)):
+                raise ValueError(f"{name} must not repeat an entry, got {list(value)!r}")
+            put(name, value)
         if self.k_rule != "kappa_star":
             try:
                 k = int(self.k_rule) if isinstance(self.k_rule, str) else self.k_rule
             except ValueError:
-                raise ValueError(
-                    f"k_rule must be 'kappa_star' or an integer, got {self.k_rule!r}"
-                ) from None
-            _check_integer("k_rule", k)
-            if k < 1:
-                raise ValueError("k_rule: fixed k must be >= 1")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(self, "a_ladder", tuple(float(a) for a in self.a_ladder))
-        for name in ("n_grid", "scenarios", "a_ladder"):
-            value = getattr(self, name)
-            if any(v in value[:i] for i, v in enumerate(value)):
-                raise ValueError(f"{name} must not repeat an entry, got {list(value)!r}")
+                msg = f"k_rule must be 'kappa_star' or an integer, got {self.k_rule!r}"
+                raise ValueError(msg) from None
+            put("k_rule", _integer("k_rule", k, 1, too_low="k_rule: fixed k must be >= 1"))
 
     def smoothness_class(self) -> SmoothnessClass:
         if self.smoothness == "ordinary":
@@ -166,11 +165,7 @@ class ExperimentConfig:
         return NoiseModel.severe(self.p, scale=self.eps_scale, max_freq=self.noise_max_freq)
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["n_grid"] = list(self.n_grid)
-        d["scenarios"] = list(self.scenarios)
-        d["a_ladder"] = list(self.a_ladder)
-        return d
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -297,7 +292,7 @@ def resolve_k(cfg: ExperimentConfig, cls, eps, n: int) -> int:
     """The truncation level at sample size n: kappa* or the fixed k_rule."""
     if cfg.k_rule == "kappa_star":
         return optimal_dim_est(cls, eps, n)
-    return int(cfg.k_rule)
+    return cfg.k_rule
 
 
 def _risk_scenarios(cfg: ExperimentConfig, cls, eps, n: int, k: int):

@@ -65,7 +65,6 @@ class HypercubeFamily:
     rho_star_sq: float
     separation_sq: float  # q(f^tau) = zeta * eta * rho_star_sq
     similarity: float  # n^2 * 2 sum theta_j^4 |eps_j|^4
-    alpha: float
 
     def __post_init__(self):
         c = np.asarray(self.base_coeffs, dtype=float)
@@ -156,7 +155,6 @@ def build_hypercube(
         rho_star_sq=float(rho_star_sq),
         separation_sq=sep,
         similarity=sim,
-        alpha=alpha,
     )
 
 

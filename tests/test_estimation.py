@@ -155,6 +155,17 @@ class TestEstimateQ:
         with pytest.raises(ValueError, match="y.shape"):
             estimate_q_batch(np.array([0.1, 0.2]), eps, 2)
 
+    def test_blocks_of_different_n_refused(self):
+        # the bias correction uses one n, so rows of another n would be
+        # corrected with the wrong one
+        eps = NoiseModel.mild(1.0)
+        a = np.random.default_rng(1).random((2, 100))
+        b = np.random.default_rng(2).random((2, 50))
+        with pytest.raises(ValueError, match="n = 100, got n = 50"):
+            estimate_q_batch([a, b], eps, 3)
+        with pytest.raises(ValueError, match="at least one block"):
+            estimate_q_batch(iter([]), eps, 3)
+
     def test_null_mean_near_zero(self):
         eps = NoiseModel.mild(1.0)
         y = np.random.default_rng(5).random((5000, 40))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,9 +33,10 @@ from circdeconv.sampling import CircularSample
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
-_POSITIVE = st.floats(0.01, 10.0)
+# a real field also takes an int, which the config stores as a float
+_POSITIVE = st.one_of(st.floats(0.01, 10.0), st.integers(1, 10))
 # threads, noise_max_freq, n in n_grid and a fixed k_rule also take an
-# integral float, which the config keeps as given
+# integral float, which the config stores as an int
 _INTEGRAL = st.one_of(st.integers(1, 512), st.integers(1, 512).map(float))
 _N = st.integers(2, 10 ** 6)
 _SCENARIO = st.sampled_from(["null", "hypercube", "two_point", "boundary"])
@@ -51,6 +53,7 @@ CONFIGS = st.builds(
     n_grid=st.lists(st.one_of(_N, _N.map(float)), min_size=1, unique_by=int),
     replications=st.integers(2, 10 ** 5),
     alpha=st.floats(0.001, 0.999),
+    # a fixed k as an int, an integral float or a string
     k_rule=st.one_of(st.just("kappa_star"), _INTEGRAL, st.integers(1, 99).map(str)),
     seed=st.integers(0, 2 ** 32),
     threads=_INTEGRAL,
@@ -58,6 +61,16 @@ CONFIGS = st.builds(
     scenarios=st.lists(_SCENARIO, min_size=1, unique=True),
     a_ladder=st.lists(st.floats(0.0, 100.0, exclude_min=True), unique=True),
 )
+
+
+# the stored type of each field, or of each entry of a list field; a fixed
+# k_rule is an int
+_CANONICAL_TYPE = dict(
+    smoothness=str, s=float, illposedness=str, p=float, a_scale=float, eps_scale=float,
+    radius=float, n_grid=int, replications=int, alpha=float, k_rule=int, seed=int,
+    threads=int, noise_max_freq=int, scenarios=str, a_ladder=float,
+)
+_LISTS = ("n_grid", "scenarios", "a_ladder")
 
 
 def _null_q_hats(cfg, cell, n, k):
@@ -162,12 +175,47 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(k_rule="0")
 
-    def test_integral_floats_accepted_as_given(self):
-        # kept as given, so the config_hash of a config with 64.0 is unchanged
-        cfg = ExperimentConfig(n_grid=(64.0,), noise_max_freq=64.0, threads=2.0, k_rule=2.0)
-        assert cfg.n_grid == (64,)
-        assert (cfg.noise_max_freq, cfg.threads, cfg.k_rule) == (64.0, 2.0, 2.0)
-        assert isinstance(cfg.noise_max_freq, float) and isinstance(cfg.k_rule, float)
+    def test_integral_floats_stored_as_int(self):
+        # one stored spelling, so 64.0 and 64 give one config_hash
+        cfg = ExperimentConfig(n_grid=(64.0,), noise_max_freq=64.0, threads=2.0, k_rule=2.0, s=1)
+        ints = (cfg.n_grid[0], cfg.noise_max_freq, cfg.threads, cfg.k_rule)
+        assert ints == (64, 64, 2, 2) and all(type(v) is int for v in ints)
+        assert type(cfg.s) is float
+        assert cfg.config_hash() == ExperimentConfig(n_grid=(64,), k_rule=2).config_hash()
+        # a float seed above 2**53 would silently stand for another seed
+        for name in ("replications", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got 4.0"):
+                ExperimentConfig(**{name: 4.0})
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(cfg=CONFIGS, k_as=st.sampled_from([str, float]))
+    def test_spelling_changes_nothing(self, cfg, k_as):
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            assert isinstance(value, tuple) == (f.name in _LISTS)
+            if f.name == "k_rule" and value == "kappa_star":
+                continue
+            assert {type(v) for v in entries} <= {_CANONICAL_TYPE[f.name]}
+        integral = {
+            name: int(getattr(cfg, name))
+            for name in ("s", "p", "a_scale", "eps_scale", "radius", "alpha")
+            if getattr(cfg, name).is_integer()
+        }
+        again = dataclasses.replace(
+            cfg,
+            **integral,
+            threads=float(cfg.threads),
+            noise_max_freq=float(cfg.noise_max_freq),
+            n_grid=[float(n) for n in cfg.n_grid],
+            k_rule=cfg.k_rule if cfg.k_rule == "kappa_star" else k_as(cfg.k_rule),
+            scenarios=list(cfg.scenarios),
+            a_ladder=[int(a) if a.is_integer() else a for a in cfg.a_ladder],
+        )
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+        assert again.identity_dict() == cfg.identity_dict()
+        assert json.dumps(again.to_json_dict()) == json.dumps(cfg.to_json_dict())
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError, match="smoothness"):
@@ -710,6 +758,17 @@ class TestCli:
         res = self._run("simulate-test", "--config", str(cfg))
         assert res.returncode == 2
         assert "scenarios" in res.stderr and res.stdout == ""
+
+    def test_config_spelling_keeps_report_bytes(self, tmp_path):
+        def report(name, config):
+            cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            cfg.write_text(json.dumps({"n_grid": [64], "replications": 20, **config}))
+            res = self._run("simulate-risk", "--config", str(cfg), "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            return out.read_bytes()
+
+        respelled = report("respelled", {"noise_max_freq": 64.0, "k_rule": "3", "s": 1})
+        assert respelled == report("canonical", {"noise_max_freq": 64, "k_rule": 3, "s": 1.0})
 
     def test_seed_and_threads_flags_override_the_config(self, tmp_path):
         def report(config, *flags):
