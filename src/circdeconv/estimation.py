@@ -65,11 +65,12 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
         bs, ps = base[: blk.shape[0]], power[: blk.shape[0]]
         np.multiply(blk, -2j * np.pi, out=bs)
         np.exp(bs, out=bs)
-        ps[...] = bs
-        rows[:, 0] = ps.mean(axis=1)
+        np.add.reduce(bs, axis=1, out=rows[:, 0])
         for j in range(1, j_max):
-            ps *= bs
-            rows[:, j] = ps.mean(axis=1)
+            np.multiply(ps if j > 1 else bs, bs, out=ps)
+            np.add.reduce(ps, axis=1, out=rows[:, j])
+    # each row sum of a power divided by n, as mean(axis=1) divides it
+    out /= n
     return out
 
 

@@ -4,9 +4,11 @@ Determinism contract: an ExperimentReport is a pure function of
 (ExperimentConfig, seed). Replications are grouped into fixed-size
 batches; batch b of cell c (a scenario, or the null or a ladder step) at
 grid point g draws from numpy's SeedSequence(seed, spawn_key=(c, g, b)),
-and batch results are reduced in index order. The thread count only
-changes execution order, never the stream assignment, so reports are
-byte-identical at any parallelism.
+and batch results are reduced in index order. A run sets up every cell
+first, then hands all its batches to one thread pool, largest n first.
+The thread count and that queue order only change execution order,
+never the stream assignment, so reports are byte-identical at any
+parallelism.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, asdict
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,10 +77,18 @@ def _scenario(name) -> str:
     return name
 
 
+def _float(name: str, value: numbers.Real) -> float:
+    """float(value); a ValueError naming the field for an integer beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie within float range") from None
+
+
 def _a_mult(a) -> float:
     if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
         raise ValueError(f"every A in a_ladder must be a finite number > 0, got {a!r}")
-    return float(a)
+    return _float("every A in a_ladder", a)
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,9 @@ class ExperimentConfig:
     least 1, seed at least 0, and each A in a_ladder a finite number > 0
     (A = 0 is the null row's key); each scenario is one of _SCENARIOS.
     replications and seed take an int, the other integer fields also an
-    integral float such as 64.0, stored as an int.
+    integral float such as 64.0, stored as an int. A fixed k given as a
+    string takes ASCII digits only, and a real field no integer beyond
+    float range.
     """
 
     smoothness: str = "ordinary"
@@ -130,7 +143,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if name == "alpha" and not 0 < value < 1:
                 raise ValueError("alpha must lie in (0, 1)")
-            put(name, float(value))
+            put(name, _float(name, value))
         for name, low in (("replications", 2), ("seed", 0)):
             put(name, _integer(name, getattr(self, name), low, integral_float=False))
         for name in ("threads", "noise_max_freq"):
@@ -147,11 +160,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat an entry, got {list(value)!r}")
             put(name, value)
         if self.k_rule != "kappa_star":
-            try:
-                k = int(self.k_rule) if isinstance(self.k_rule, str) else self.k_rule
-            except ValueError:
-                msg = f"k_rule must be 'kappa_star' or an integer, got {self.k_rule!r}"
-                raise ValueError(msg) from None
+            k = self.k_rule
+            if isinstance(k, str):
+                # int() would also take a sign, blanks, underscores or non-ASCII digits
+                if not (k.isascii() and k.isdigit()):
+                    raise ValueError(f"k_rule must be 'kappa_star' or an integer, got {k!r}")
+                k = int(k)
             put("k_rule", _integer("k_rule", k, 1, too_low="k_rule: fixed k must be >= 1"))
 
     def smoothness_class(self) -> SmoothnessClass:
@@ -216,30 +230,53 @@ def _report(cfg: ExperimentConfig, kind: str, rows: list, **meta) -> ExperimentR
 # -- Monte Carlo engine -------------------------------------------------
 
 
-def _q_hats(cfg: ExperimentConfig, cell: tuple, sampler, n: int, eps: NoiseModel, k: int):
-    """q_hat_k of cfg.replications independent n-samples, in order.
+class _Cell(NamedTuple):
+    """One Monte Carlo cell: key is (scenario or ladder index, grid index),
+    and every replication is an n-sample from sampler, estimated at level k."""
 
-    cell is (scenario or ladder index, grid index), and batch b of the cell
-    draws from np.random.SeedSequence(cfg.seed, spawn_key=cell + (b,)).
+    key: tuple
+    sampler: Callable
+    n: int
+    k: int
+
+
+def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> list:
+    """For each cell, in order, q_hat_k of cfg.replications independent
+    n-samples, in order.
+
+    Batch b of a cell draws from
+    np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)).
     sampler(gen, batch_size, n) gives the batch's observations in a form
     estimate_q_batch takes: a (batch_size, n) matrix, or (rows, n) blocks
     in row order (the null sampler's reused-buffer views). At
-    threads == 1 the batches run in the calling thread, otherwise in a
-    thread pool; either way they are concatenated in index order.
+    threads == 1 the batches run in the calling thread in cell order.
+    Otherwise every batch of every cell goes to one thread pool, queued
+    largest n first, so the cheapest batches are the last to finish; a
+    batch that raises cancels those not yet started. Either way each
+    cell's batches are concatenated in index order.
     """
     reps = cfg.replications
-    seeds = np.random.SeedSequence(cfg.seed, spawn_key=cell).spawn(-(-reps // _BATCH_SIZE))
+    batches = -(-reps // _BATCH_SIZE)
+    tasks = [(c, b) for c in range(len(cells)) for b in range(batches)]
 
-    def one_batch(b):
+    def one_batch(task):
+        c, b = task
+        cell = cells[c]
+        gen = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)))
         size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
-        return estimate_q_batch(sampler(np.random.default_rng(seeds[b]), size, n), eps, k)
+        return estimate_q_batch(cell.sampler(gen, size, cell.n), eps, cell.k)
 
     if cfg.threads == 1:
-        parts = [one_batch(b) for b in range(len(seeds))]
+        parts = {task: one_batch(task) for task in tasks}
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(one_batch, range(len(seeds))))
-    return np.concatenate(parts)
+        # a stable sort: batches of equal n keep their cell order
+        queue = sorted(tasks, key=lambda task: -cells[task[0]].n)
+        pool = ThreadPoolExecutor(max_workers=cfg.threads)
+        try:
+            parts = dict(zip(queue, pool.map(one_batch, queue)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [np.concatenate([parts[c, b] for b in range(batches)]) for c in range(len(cells))]
 
 
 def _mean_se(x: np.ndarray):
@@ -322,15 +359,22 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     cls = cfg.smoothness_class()
     eps = cfg.noise_model()
-    rows = []
-    for n_idx, n in enumerate(cfg.n_grid):
+    # every setup step runs before any Monte Carlo batch
+    setups = []
+    for n in cfg.n_grid:
         k = resolve_k(cfg, cls, eps, n)
-        scen = _risk_scenarios(cfg, cls, eps, n, k)
+        setups.append((n, k, _risk_scenarios(cfg, cls, eps, n, k)))
+    cells = [
+        _Cell((s_idx, n_idx), sampler, n, k)
+        for n_idx, (n, k, scen) in enumerate(setups)
+        for s_idx, (sampler, _) in enumerate(scen.values())
+    ]
+    q_hats = iter(_q_hats(cfg, cells, eps))
+    rows = []
+    for n, k, scen in setups:
         at_n = dict(n=n, k=k, nu_k_sq=nu_k_sq(eps, n, k))
-        for s_idx, name in enumerate(cfg.scenarios):
-            sampler, q_true = scen[name]
-            q_hat = _q_hats(cfg, (s_idx, n_idx), sampler, n, eps, k)
-            risk, risk_se = _mean_se((q_hat - q_true) ** 2)
+        for name, (_, q_true) in scen.items():
+            risk, risk_se = _mean_se((next(q_hats) - q_true) ** 2)
             rows.append(dict(at_n, scenario=name, q_true=q_true, risk=risk, risk_se=risk_se))
     for n in cfg.n_grid:
         max_row = max((r for r in rows if r["n"] == n), key=lambda r: r["risk"])
@@ -346,7 +390,8 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cls = cfg.smoothness_class()
     eps = cfg.noise_model()
     cal = calibrate(cfg.alpha, eps, cls.radius)
-    rows = []
+    # every setup step runs before any Monte Carlo batch
+    setups, cells = [], []
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
         thr = cal.threshold(eps, n, k)
@@ -354,21 +399,29 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # observed magnitudes theta_j |eps_j| of the all-plus vertex; refuses,
         # as the risk experiment does, a kappa* above the noise's max_freq
         theta_obs_base = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
-        q_hat = _q_hats(cfg, (0, n_idx), _null_sampler, n, eps, k)
-        type1, se1 = _mean_se((q_hat >= thr).astype(float))
-        # fields shared by the null row and every ladder row at this n
-        at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=fam.rho_star_sq)
-        rows.append({**at_n, "A": 0.0, "se": se1})
+        cells.append(_Cell((0, n_idx), _null_sampler, n, k))
+        feasible = []
         a_base = np.sqrt(fam.a_lower_sq)
         for a_idx, a_mult in enumerate(cfg.a_ladder):
             # scale coefficients so q(f) = A^2 rho*^2 (theta scales like A)
             scale = a_mult / a_base
-            if not l1_certified(fam.base_coeffs * scale):
+            feasible.append(l1_certified(fam.base_coeffs * scale))
+            if feasible[-1]:
+                sampler = _mixture_sampler(theta_obs_base * scale)
+                cells.append(_Cell((1 + a_idx, n_idx), sampler, n, k))
+        setups.append((n, k, thr, fam.rho_star_sq, feasible))
+    q_hats = iter(_q_hats(cfg, cells, eps))
+    rows = []
+    for n, k, thr, rho_star_sq, feasible in setups:
+        type1, se1 = _mean_se((next(q_hats) >= thr).astype(float))
+        # fields shared by the null row and every ladder row at this n
+        at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_star_sq)
+        rows.append({**at_n, "A": 0.0, "se": se1})
+        for a_mult, ok in zip(cfg.a_ladder, feasible):
+            if not ok:
                 rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
-            sampler = _mixture_sampler(theta_obs_base * scale)
-            q_hat = _q_hats(cfg, (1 + a_idx, n_idx), sampler, n, eps, k)
-            type2, se2 = _mean_se((q_hat < thr).astype(float))
+            type2, se2 = _mean_se((next(q_hats) < thr).astype(float))
             rows.append(
                 dict(at_n, A=a_mult, type2=type2, error_sum=type1 + type2, se=se2, feasible=True)
             )

@@ -79,18 +79,24 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     """Optimal truncation: min{k : a_k^4 <= S_k / n^2}, S_k from variance_sums.
 
     The left side is the squared bias of truncation, the right the
-    variance proxy; the smallest crossing balances them.
+    variance proxy; the smallest crossing balances them. The scan reads
+    prefixes of 64, 256, ... frequencies up to the window, stopping at the
+    first that holds a crossing; S_k and a_k do not depend on the prefix,
+    so the result is that of one scan over the whole window.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     k_max = _window(eps, K_MAX)
-    a4 = cls.a(np.arange(1, k_max + 1)) ** 4
-    hits = np.nonzero(a4 <= variance_sums(eps, k_max) / n ** 2)[0]
-    if hits.size == 0:
-        raise DimensionNotFound(
-            f"no k <= {k_max} balances bias and variance at n = {n}"
-        )
-    return int(hits[0]) + 1
+    width = 64
+    while True:
+        width = min(width, k_max)
+        a4 = cls.a(np.arange(1, width + 1)) ** 4
+        hits = np.flatnonzero(a4 <= variance_sums(eps, width) / n ** 2)
+        if hits.size:
+            return int(hits[0]) + 1
+        if width == k_max:
+            raise DimensionNotFound(f"no k <= {k_max} balances bias and variance at n = {n}")
+        width *= 4
 
 
 def base_term(cls: SmoothnessClass, eps: NoiseModel, n: int):

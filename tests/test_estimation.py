@@ -88,7 +88,8 @@ class TestEmpiricalCoeffs:
         cfg = harness.ExperimentConfig(n_grid=(n,), replications=128, threads=1)
         tracemalloc.start()
         try:
-            harness._q_hats(cfg, (0, 0), harness._null_sampler, n, cfg.noise_model(), 12)
+            cell = harness._Cell((0, 0), harness._null_sampler, n, 12)
+            harness._q_hats(cfg, [cell], cfg.noise_model())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

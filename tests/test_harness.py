@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -417,6 +418,90 @@ class TestTestExperiment:
         assert all(b <= a + 0.05 for a, b in zip(t2, t2[1:]))
 
 
+class _SerialPool:
+    """A stand-in for ThreadPoolExecutor that runs map in the calling
+    thread, so the order of the queue is the order of the calls."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def _counting(calls, fail_first=False):
+    """estimate_q_batch that appends k to calls, raising on the first call
+    if fail_first."""
+    lock = threading.Lock()
+
+    def counted(y, eps, k):
+        with lock:
+            calls.append(k)
+            first = len(calls) == 1
+        if fail_first and first:
+            raise RuntimeError("batch failed")
+        return estimate_q_batch(y, eps, k)
+
+    return counted
+
+
+class TestScheduler:
+    """One pool per experiment: every batch of every cell, largest n first."""
+
+    # batches of 128, 128 and 44 at two n, in all four scenarios
+    RISK = dict(n_grid=(64, 256), replications=300, seed=4,
+                scenarios=("null", "hypercube", "two_point", "boundary"))
+    # the ladder's middle step is infeasible
+    TEST = dict(n_grid=(64, 256), replications=300, seed=4, a_ladder=(0.2, 50.0, 0.4))
+
+    @pytest.mark.parametrize("run, base", [(run_risk_experiment, RISK), (run_test_experiment, TEST)],
+                             ids=["risk", "test"])
+    def test_reports_identical_at_any_thread_count(self, run, base):
+        reports = {emit_report(run(ExperimentConfig(threads=t, **base))) for t in (1, 2, 3)}
+        assert len(reports) == 1
+
+    def test_test_config_has_an_infeasible_step(self):
+        rows = run_test_experiment(ExperimentConfig(threads=2, **self.TEST)).rows
+        assert [r.get("feasible") for r in rows] == [None, True, False, True] * 2
+
+    def test_queue_runs_largest_n_first(self, monkeypatch):
+        # kappa* grows with n, so the k of each call tells its n
+        calls = []
+        monkeypatch.setattr(harness, "estimate_q_batch", _counting(calls))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", _SerialPool)
+        run_risk_experiment(ExperimentConfig(threads=2, **self.RISK))
+        assert len(calls) == 2 * 4 * 3 and calls[0] > calls[-1]
+        assert calls == sorted(calls, reverse=True)
+        # in the calling thread the cells run in grid order
+        calls.clear()
+        run_risk_experiment(ExperimentConfig(threads=1, **self.RISK))
+        assert calls == sorted(calls)
+
+    @pytest.mark.parametrize("run", [run_risk_experiment, run_test_experiment], ids=["risk", "test"])
+    def test_setup_failure_at_last_n_precedes_every_batch(self, run, monkeypatch):
+        # kappa* = 129 at n = 10^6 exceeds noise_max_freq = 64
+        calls = []
+        monkeypatch.setattr(harness, "estimate_q_batch", _counting(calls))
+        cfg = ExperimentConfig(s=0.6, p=0.6, n_grid=(64, 10 ** 6), replications=300,
+                               scenarios=("null", "hypercube"), a_ladder=(0.5,), threads=2)
+        with pytest.raises(InvalidDensityError, match="129.*64"):
+            run(cfg)
+        assert calls == []
+
+    def test_failing_batch_cancels_the_queue(self, monkeypatch):
+        # 2 scenarios x 3 n x 8 batches; the first batch raises
+        calls = []
+        monkeypatch.setattr(harness, "estimate_q_batch", _counting(calls, fail_first=True))
+        cfg = ExperimentConfig(n_grid=(1024, 2048, 4096), replications=1024, threads=2,
+                               scenarios=("null", "boundary"))
+        with pytest.raises(RuntimeError, match="batch failed"):
+            run_risk_experiment(cfg)
+        assert len(calls) <= 5
+
+
 class TestIngest:
     def test_unit_format(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -597,7 +682,9 @@ class TestCli:
         assert json.loads(res.stdout)["decision"] in ("accept_null", "reject_null")
 
     @pytest.mark.parametrize(
-        "args", [("estimate", "--k", "0"), ("estimate", "--k", "abc"), ("test", "--k", "0")]
+        "args",
+        [("estimate", "--k", "0"), ("estimate", "--k", "abc"), ("test", "--k", "0"),
+         ("estimate", "--k", "1_0"), ("estimate", "--k", "+3"), ("test", "--k", " 3")],
     )
     def test_bad_k_runtime_error_exit_code(self, tmp_path, args):
         data = tmp_path / "d.txt"
@@ -741,6 +828,19 @@ class TestCli:
             {"a_ladder": [1.0, 1.0]},
             {"scenarios": ["bogus"]},
             {"s": "1.0"},
+            # integers beyond float range
+            {"s": 10 ** 400},
+            {"p": 10 ** 400},
+            {"a_scale": 10 ** 400},
+            {"eps_scale": 10 ** 400},
+            {"radius": 10 ** 400},
+            {"alpha": 10 ** 400},
+            {"a_ladder": [10 ** 400]},
+            # a fixed k as a string takes ASCII digits only
+            {"k_rule": " 3"},
+            {"k_rule": "+3"},
+            {"k_rule": "1_0"},
+            {"k_rule": "\uff13"},
         ],
     )
     def test_bad_config_runtime_error_exit_code(self, tmp_path, bad):

@@ -12,6 +12,7 @@ from circdeconv.fourier import (
 )
 from circdeconv.lowerbounds import build_hypercube
 from circdeconv.rates import (
+    K_MAX,
     M_MAX,
     base_term,
     find_eta,
@@ -281,6 +282,41 @@ class TestOptimalDim:
         rhs = 2.0 * np.cumsum(ks ** 4.0) / n ** 2
         expected = int(np.nonzero(a4 <= rhs)[0][0]) + 1
         assert k == expected
+
+    @pytest.mark.parametrize(
+        "cls",
+        [SmoothnessClass.ordinary(0.6), SmoothnessClass.ordinary(3.0, scale=5.0),
+         SmoothnessClass.supersmooth(0.5), SmoothnessClass.supersmooth(2.0, scale=0.1)],
+        ids=["ordinary-0.6", "ordinary-3", "super-0.5", "super-2"],
+    )
+    @pytest.mark.parametrize(
+        "eps",
+        [NoiseModel.mild(0.75), NoiseModel.mild(2.0, scale=0.5), NoiseModel.severe(0.5),
+         NoiseModel.severe(1.5), NoiseModel.mild(1.0, max_freq=64),
+         NoiseModel.from_density(FourierDensity.from_tail(0.4 * np.arange(1, 41.0) ** -1.0)),
+         NoiseModel.from_density(FourierDensity.from_tail(0.3 * np.arange(1, 301.0) ** -0.6))],
+        ids=["mild-0.75", "mild-2", "severe-0.5", "severe-1.5", "mild-max-freq",
+             "explicit-40", "explicit-300"],
+    )
+    def test_prefix_scan_matches_full_window(self, cls, eps):
+        # the scan stops at the first prefix that holds a crossing; one scan
+        # over the whole window must find the same kappa*, or raise alike
+        def full_window(n):
+            k_max = min(K_MAX, eps.density.max_freq) if eps.kind == "explicit" else K_MAX
+            a4 = cls.a(np.arange(1, k_max + 1)) ** 4
+            hits = np.flatnonzero(a4 <= variance_sums(eps, k_max) / n ** 2)
+            if not hits.size:
+                raise DimensionNotFound(f"no k <= {k_max} balances bias and variance at n = {n}")
+            return int(hits[0]) + 1
+
+        for n in (2, 3, 100, 10 ** 4, 2 ** 20, 10 ** 9, 2 ** 40):
+            try:
+                expected = full_window(n)
+            except DimensionNotFound as e:
+                with pytest.raises(DimensionNotFound, match=f"^{e}$"):
+                    optimal_dim_est(cls, eps, n)
+            else:
+                assert optimal_dim_est(cls, eps, n) == expected
 
     def test_growth_exponent(self):
         cls = SmoothnessClass.ordinary(1.0)
