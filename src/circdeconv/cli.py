@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CircdeconvError, ValueError, OSError) as e:
+    except (CircdeconvError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_ERROR
 

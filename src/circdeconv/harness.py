@@ -5,10 +5,10 @@ Determinism contract: an ExperimentReport is a pure function of
 batches; batch b of cell c (a scenario, or the null or a ladder step) at
 grid point g draws from numpy's SeedSequence(seed, spawn_key=(c, g, b)),
 and batch results are reduced in index order. A run sets up every cell
-first, then hands all its batches to one thread pool, largest n first.
-The thread count and that queue order only change execution order,
-never the stream assignment, so reports are byte-identical at any
-parallelism.
+first, then hands all its batches to one thread pool, largest n first,
+and reads each cell's result back by its key (c, g). The thread count
+and that queue order only change execution order, never the stream
+assignment, so reports are byte-identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -240,12 +240,12 @@ class _Cell(NamedTuple):
     k: int
 
 
-def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> list:
-    """For each cell, in order, q_hat_k of cfg.replications independent
-    n-samples, in order.
+def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> dict:
+    """cell.key -> q_hat_k of cfg.replications independent n-samples, in order.
 
     Batch b of a cell draws from
-    np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)).
+    np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)), so the key
+    names the cell's stream and its result wherever the cell stands in cells.
     sampler(gen, batch_size, n) gives the batch's observations in a form
     estimate_q_batch takes: a (batch_size, n) matrix, or (rows, n) blocks
     in row order (the null sampler's reused-buffer views). At
@@ -257,11 +257,10 @@ def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> list:
     """
     reps = cfg.replications
     batches = -(-reps // _BATCH_SIZE)
-    tasks = [(c, b) for c in range(len(cells)) for b in range(batches)]
+    tasks = [(cell, b) for cell in cells for b in range(batches)]
 
     def one_batch(task):
-        c, b = task
-        cell = cells[c]
+        cell, b = task
         gen = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)))
         size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
         return estimate_q_batch(cell.sampler(gen, size, cell.n), eps, cell.k)
@@ -270,13 +269,13 @@ def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> list:
         parts = {task: one_batch(task) for task in tasks}
     else:
         # a stable sort: batches of equal n keep their cell order
-        queue = sorted(tasks, key=lambda task: -cells[task[0]].n)
+        queue = sorted(tasks, key=lambda task: -task[0].n)
         pool = ThreadPoolExecutor(max_workers=cfg.threads)
         try:
             parts = dict(zip(queue, pool.map(one_batch, queue)))
         finally:
             pool.shutdown(cancel_futures=True)
-    return [np.concatenate([parts[c, b] for b in range(batches)]) for c in range(len(cells))]
+    return {cell.key: np.concatenate([parts[cell, b] for b in range(batches)]) for cell in cells}
 
 
 def _mean_se(x: np.ndarray):
@@ -360,21 +359,19 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cls = cfg.smoothness_class()
     eps = cfg.noise_model()
     # every setup step runs before any Monte Carlo batch
-    setups = []
-    for n in cfg.n_grid:
+    setups, cells = [], []
+    for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
-        setups.append((n, k, _risk_scenarios(cfg, cls, eps, n, k)))
-    cells = [
-        _Cell((s_idx, n_idx), sampler, n, k)
-        for n_idx, (n, k, scen) in enumerate(setups)
-        for s_idx, (sampler, _) in enumerate(scen.values())
-    ]
-    q_hats = iter(_q_hats(cfg, cells, eps))
+        scen = _risk_scenarios(cfg, cls, eps, n, k)
+        for s_idx, (sampler, _) in enumerate(scen.values()):
+            cells.append(_Cell((s_idx, n_idx), sampler, n, k))
+        setups.append((n, k, scen))
+    q_hats = _q_hats(cfg, cells, eps)
     rows = []
-    for n, k, scen in setups:
+    for n_idx, (n, k, scen) in enumerate(setups):
         at_n = dict(n=n, k=k, nu_k_sq=nu_k_sq(eps, n, k))
-        for name, (_, q_true) in scen.items():
-            risk, risk_se = _mean_se((next(q_hats) - q_true) ** 2)
+        for s_idx, (name, (_, q_true)) in enumerate(scen.items()):
+            risk, risk_se = _mean_se((q_hats[s_idx, n_idx] - q_true) ** 2)
             rows.append(dict(at_n, scenario=name, q_true=q_true, risk=risk, risk_se=risk_se))
     for n in cfg.n_grid:
         max_row = max((r for r in rows if r["n"] == n), key=lambda r: r["risk"])
@@ -400,28 +397,27 @@ def run_test_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # as the risk experiment does, a kappa* above the noise's max_freq
         theta_obs_base = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
         cells.append(_Cell((0, n_idx), _null_sampler, n, k))
-        feasible = []
         a_base = np.sqrt(fam.a_lower_sq)
-        for a_idx, a_mult in enumerate(cfg.a_ladder):
-            # scale coefficients so q(f) = A^2 rho*^2 (theta scales like A)
+        for a_idx, a_mult in enumerate(cfg.a_ladder, start=1):
+            # scale coefficients so q(f) = A^2 rho*^2 (theta scales like A);
+            # an infeasible step gets no cell
             scale = a_mult / a_base
-            feasible.append(l1_certified(fam.base_coeffs * scale))
-            if feasible[-1]:
+            if l1_certified(fam.base_coeffs * scale):
                 sampler = _mixture_sampler(theta_obs_base * scale)
-                cells.append(_Cell((1 + a_idx, n_idx), sampler, n, k))
-        setups.append((n, k, thr, fam.rho_star_sq, feasible))
-    q_hats = iter(_q_hats(cfg, cells, eps))
+                cells.append(_Cell((a_idx, n_idx), sampler, n, k))
+        setups.append((n, k, thr, fam.rho_star_sq))
+    q_hats = _q_hats(cfg, cells, eps)
     rows = []
-    for n, k, thr, rho_star_sq, feasible in setups:
-        type1, se1 = _mean_se((next(q_hats) >= thr).astype(float))
+    for n_idx, (n, k, thr, rho_star_sq) in enumerate(setups):
+        type1, se1 = _mean_se((q_hats[0, n_idx] >= thr).astype(float))
         # fields shared by the null row and every ladder row at this n
         at_n = dict(n=n, k=k, type1=type1, type2=None, error_sum=None, rho_star_sq=rho_star_sq)
         rows.append({**at_n, "A": 0.0, "se": se1})
-        for a_mult, ok in zip(cfg.a_ladder, feasible):
-            if not ok:
+        for a_idx, a_mult in enumerate(cfg.a_ladder, start=1):
+            if (a_idx, n_idx) not in q_hats:
                 rows.append({**at_n, "A": a_mult, "se": None, "feasible": False})
                 continue
-            type2, se2 = _mean_se((next(q_hats) < thr).astype(float))
+            type2, se2 = _mean_se((q_hats[a_idx, n_idx] < thr).astype(float))
             rows.append(
                 dict(at_n, A=a_mult, type2=type2, error_sum=type1 + type2, se=se2, feasible=True)
             )

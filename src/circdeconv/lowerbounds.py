@@ -84,13 +84,6 @@ class HypercubeFamily:
             raise ValueError("tau must be a +/-1 vector of length kappa")
         return FourierDensity.from_tail(tau * self.base_coeffs)
 
-    def vertices(self):
-        """Materialize all 2^kappa vertices; refuses kappa > 20."""
-        if self.kappa > 20:
-            raise ValueError("full enumeration limited to kappa <= 20")
-        for tau in itertools.product((-1.0, 1.0), repeat=self.kappa):
-            yield self.vertex(np.array(tau))
-
 
 def build_hypercube(
     cls: SmoothnessClass, eps: NoiseModel, n: int, alpha: float

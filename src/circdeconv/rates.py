@@ -86,12 +86,16 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    try:
+        n_sq = float(n ** 2)
+    except OverflowError:
+        raise ValueError("n is too large: n^2 must lie within float range") from None
     k_max = _window(eps, K_MAX)
     width = 64
     while True:
         width = min(width, k_max)
         a4 = cls.a(np.arange(1, width + 1)) ** 4
-        hits = np.flatnonzero(a4 <= variance_sums(eps, width) / n ** 2)
+        hits = np.flatnonzero(a4 <= variance_sums(eps, width) / n_sq)
         if hits.size:
             return int(hits[0]) + 1
         if width == k_max:

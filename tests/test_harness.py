@@ -18,7 +18,7 @@ import circdeconv
 from circdeconv import cli, harness, testing
 from circdeconv.estimation import estimate_q_batch
 from circdeconv.errors import ConditionViolation, IngestError, InvalidDensityError
-from circdeconv.fourier import NoiseModel, SmoothnessClass, quadratic_functional
+from circdeconv.fourier import NoiseModel, SmoothnessClass, observed_density, quadratic_functional
 from circdeconv.harness import (
     DATA_FORMATS,
     ExperimentConfig,
@@ -467,6 +467,25 @@ class TestScheduler:
         rows = run_test_experiment(ExperimentConfig(threads=2, **self.TEST)).rows
         assert [r.get("feasible") for r in rows] == [None, True, False, True] * 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_keyed_by_cell_in_any_cell_order(self, threads):
+        # the key (c, g) names a cell's stream and its result, so the order
+        # of the cell list changes neither
+        cfg = ExperimentConfig(threads=threads, **self.RISK)
+        cls, eps = cfg.smoothness_class(), cfg.noise_model()
+        fixed = harness._fixed_density_sampler(observed_density(build_two_point(
+            cls, eps, 64, optimal_two_point_freq(cls, eps, 64)).f_plus, eps))
+        cells = [harness._Cell((0, 0), harness._null_sampler, 64, 3),
+                 harness._Cell((1, 0), fixed, 64, 3),
+                 harness._Cell((0, 1), harness._null_sampler, 256, 5)]
+        forward = harness._q_hats(cfg, cells, eps)
+        backward = harness._q_hats(cfg, cells[::-1], eps)
+        assert list(forward) == [cell.key for cell in cells]
+        assert backward.keys() == forward.keys()
+        for key, q_hat in forward.items():
+            assert np.array_equal(backward[key], q_hat)
+        assert np.array_equal(forward[0, 1], _null_q_hats(cfg, (0, 1), 256, 5))
+
     def test_queue_runs_largest_n_first(self, monkeypatch):
         # kappa* grows with n, so the k of each call tells its n
         calls = []
@@ -849,6 +868,36 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("rates", "--smoothness", "super", "--scan", "--scan-max-exp", "600"),
+         ("lower-bound", "--n", str(10 ** 400)),
+         ("simulate-risk", "--config"), ("simulate-test", "--config")],
+        ids=["rates-scan", "lower-bound", "simulate-risk", "simulate-test"],
+    )
+    def test_n_beyond_float_range_exit_code(self, tmp_path, args):
+        # kappa* compares a_k^4 with S_k / n^2, and n^2 leaves float range near n = 2^512
+        if args[-1] == "--config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_grid": [10 ** 400], "replications": 2}))
+            args += (str(cfg),)
+        res = self._run(*args)
+        assert res.returncode == 2
+        assert res.stderr == "error: n is too large: n^2 must lie within float range\n"
+
+    @pytest.mark.parametrize("command", ["rates", "simulate-risk"])
+    def test_noise_density_too_large_to_allocate_exit_code(self, tmp_path, command):
+        # 10^15 frequencies need 7.1 PiB, beyond any 47-bit address space,
+        # so numpy refuses the allocation at once
+        if command == "rates":
+            res = self._run("rates", "--noise-max-freq", str(10 ** 15))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_grid": [64], "noise_max_freq": 10 ** 15}))
+            res = self._run(command, "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: Unable to allocate") and res.stderr.count("\n") == 1
 
     def test_simulate_test_refuses_unknown_scenario(self, tmp_path):
         # the test experiment never samples the scenarios, yet a config that

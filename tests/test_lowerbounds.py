@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ class TestHypercube:
     def test_all_conditions_pass_canonical(self):
         fam = build_hypercube(CLS, EPS, 1000, 0.05)
         assert fam.kappa >= 1
-        for vertex in fam.vertices():
+        for tau in itertools.product((-1.0, 1.0), repeat=fam.kappa):
+            vertex = fam.vertex(np.array(tau))
             assert l1_certified(vertex.coeffs[1:])
             member, _ = ellipsoid_membership(vertex, CLS)
             assert member

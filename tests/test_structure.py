@@ -1,8 +1,8 @@
 """Module structure: imports at module level only and none of scipy, the
 sequence theory in `rates` and the constructions in `lowerbounds` depend
 on no analysis module, every package export is declared in the `__all__`
-of the module it comes from, and every module attribute the benchmark
-tracer wraps still exists."""
+of the module it comes from, every module attribute the benchmark tracer
+wraps still exists, and every module-level private name is used."""
 
 import ast
 import importlib
@@ -124,3 +124,26 @@ def test_no_caller_set_window(module):
         if arg.arg in window_args
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    # a module-level function, class or assignment target with a leading
+    # underscore (not a dunder) is private: one its own module never loads
+    # is code nothing calls
+    tree = _tree(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    private = {name for name in defined - dunder if name.startswith("_")}
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(private - loaded) == []
