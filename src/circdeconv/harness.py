@@ -55,6 +55,9 @@ __all__ = [
 
 _BATCH_SIZE = 128
 
+# the largest n whose (batch, n) complex buffer of 16-byte entries numpy can describe
+_MAX_N = np.iinfo(np.intp).max // (16 * _BATCH_SIZE)
+
 # the stress set of the risk experiment, as named in a config's scenarios
 _SCENARIOS = ("null", "hypercube", "two_point", "boundary")
 
@@ -68,6 +71,13 @@ def _integer(name: str, value, low: int, integral_float: bool = True, too_low: s
     if value < low:
         raise ValueError(too_low or f"{name} must be >= {low}")
     return int(value)
+
+
+def _n(value) -> int:
+    n = _integer("n in n_grid", value, 2, too_low="every n in n_grid must be >= 2")
+    if n > _MAX_N:
+        raise ValueError(f"every n in n_grid must be <= {_MAX_N}, got {n}")
+    return n
 
 
 def _scenario(name) -> str:
@@ -106,8 +116,10 @@ class ExperimentConfig:
     typed, fractional, empty, repeated or out-of-range value raises a
     ValueError naming its field. replications is at least 2, so that
     every row has a standard error; threads and noise_max_freq are at
-    least 1, seed at least 0, and each A in a_ladder a finite number > 0
-    (A = 0 is the null row's key); each scenario is one of _SCENARIOS.
+    least 1, seed at least 0, each n in n_grid at least 2 and at most
+    _MAX_N (so that numpy can describe a batch's buffers), and each A in
+    a_ladder a finite number > 0 (A = 0 is the null row's key); each
+    scenario is one of _SCENARIOS.
     replications and seed take an int, the other integer fields also an
     integral float such as 64.0, stored as an int. A fixed k given as a
     string takes ASCII digits only, and a real field no integer beyond
@@ -148,8 +160,7 @@ class ExperimentConfig:
             put(name, _integer(name, getattr(self, name), low, integral_float=False))
         for name in ("threads", "noise_max_freq"):
             put(name, _integer(name, getattr(self, name), 1))
-        n_entry = partial(_integer, "n in n_grid", low=2, too_low="every n in n_grid must be >= 2")
-        for name, entry in (("n_grid", n_entry), ("scenarios", _scenario), ("a_ladder", _a_mult)):
+        for name, entry in (("n_grid", _n), ("scenarios", _scenario), ("a_ladder", _a_mult)):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")

@@ -19,6 +19,7 @@ and raises ConditionViolation naming the first one that fails.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ CONDITION_SLACK = 1e-10
 
 # exp() argument beyond which the chi-square mixture bound overflows.
 CHI2_EXP_OVERFLOW = 700.0
+
+# Largest cube dimension whose 2^k sign vectors are enumerated.
+MAX_SIGN_DIM = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +176,15 @@ def cube_product_identity(J_plus, J_minus):
         2^{-k} sum_{tau in {+,-}^k} prod_j J_j^{tau_j}
             = prod_j (J_j^- + J_j^+) / 2.
 
-    The left side enumerates 2^k terms, so k <= 20.
+    The left side enumerates 2^k terms, so k <= MAX_SIGN_DIM.
     """
     jp = np.asarray(J_plus, dtype=float)
     jm = np.asarray(J_minus, dtype=float)
     if jp.shape != jm.shape or jp.ndim != 1:
         raise ValueError("J_plus and J_minus must be 1-d arrays of equal length")
     k = jp.size
-    if k > 20:
-        raise ValueError("enumeration limited to k <= 20")
+    if k > MAX_SIGN_DIM:
+        raise ValueError(f"enumeration limited to k <= {MAX_SIGN_DIM}")
     lhs = 0.0
     for tau in itertools.product((0, 1), repeat=k):
         term = 1.0
@@ -302,28 +306,23 @@ def exact_mixture_chi2(theta, n: int) -> float:
     """Exact chi^2 divergence between the sign-mixture and the null.
 
     theta holds the observation-space coefficient magnitudes (f_j |eps_j|)
-    for j = 1..kappa. Enumerates all 2^kappa sign vectors and integrates
-    the squared n-fold product mixture by tensor quadrature on [0,1)^n.
-    Limited to n <= 3, kappa <= 3 (cost grows as 64^n).
+    for j = 1..kappa <= MAX_SIGN_DIM. Vertices with signs tau, tau' have
+    integral g g' = 1 + 2 sum theta_j^2 tau_j tau'_j, so chi^2 is
+    E_eta (1 + 2 sum theta_j^2 eta_j)^n - 1 over eta uniform on {+,-}^kappa.
+    2 sum theta_j^2 >= 1 is refused: some vertex would be negative at 0.
+    A divergence beyond float range overflows to inf.
     """
     theta = np.asarray(theta, dtype=float)
-    kappa = theta.size
-    if n > 3 or kappa > 3:
-        raise ValueError("exact enumeration limited to n <= 3 and kappa <= 3")
-    # 64 equispaced points integrate the squared mixture exactly: its degree
-    # is at most 4 n kappa <= 36 < 64
-    points = 64
-    j = np.arange(1, kappa + 1)
-    xs = np.arange(points) / points
-    phases = np.exp(2j * np.pi * np.outer(j, xs))  # (kappa, G)
-    taus = list(itertools.product((-1.0, 1.0), repeat=kappa))
-    dens = np.array([1.0 + 2.0 * np.real((t * theta) @ phases) for t in taus])
-    mix = np.zeros((points,) * n)
-    for d in dens:
-        prod = d
-        for _ in range(n - 1):
-            prod = np.multiply.outer(prod, d)
-        mix += prod
-    mix /= len(taus)
-    # null density is identically 1, so chi^2 = integral of mix^2 - 1
-    return float(np.sum(mix ** 2)) / points ** n - 1.0
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be a finite 1-d array")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if theta.size > MAX_SIGN_DIM:
+        raise ValueError(f"sign enumeration limited to kappa <= {MAX_SIGN_DIM}")
+    t2 = 2.0 * theta ** 2
+    if t2.sum() >= 1.0:
+        raise ValueError("2 sum theta_j^2 must be < 1, or some vertex is negative at 0")
+    x = np.zeros(1)
+    for t in t2:
+        x = np.concatenate((x + t, x - t))
+    return float(np.mean(np.expm1(n * np.log1p(x))))

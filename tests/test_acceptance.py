@@ -347,7 +347,7 @@ def test_criterion_08_cube_product_identity():
 
 def test_criterion_09_chi2_mixture_bound():
     """The closed-form bound exp(2 n^2 sum theta^4) - 1 dominates the
-    exact (tensor-quadrature) chi^2 divergence of the sign mixture on all
+    exact (closed-form) chi^2 divergence of the sign mixture on all
     instances with n <= 2, kappa <= 2, theta_j <= 0.3."""
     worst = -np.inf
     count = 0

@@ -855,6 +855,11 @@ class TestCli:
             {"radius": 10 ** 400},
             {"alpha": 10 ** 400},
             {"a_ladder": [10 ** 400]},
+            # an n whose (batch, n) buffers numpy cannot describe
+            {"n_grid": [10 ** 20]},
+            {"n_grid": [2 ** 60]},
+            {"n_grid": [10 ** 20], "k_rule": 3},
+            {"n_grid": [2 ** 60], "k_rule": 3},
             # a fixed k as a string takes ASCII digits only
             {"k_rule": " 3"},
             {"k_rule": "+3"},
@@ -878,13 +883,16 @@ class TestCli:
     )
     def test_n_beyond_float_range_exit_code(self, tmp_path, args):
         # kappa* compares a_k^4 with S_k / n^2, and n^2 leaves float range near n = 2^512
+        expected = "error: n is too large: n^2 must lie within float range\n"
         if args[-1] == "--config":
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"n_grid": [10 ** 400], "replications": 2}))
             args += (str(cfg),)
+            # a config refuses such an n before kappa* is sought
+            expected = f"error: every n in n_grid must be <= {harness._MAX_N}, got {10 ** 400}\n"
         res = self._run(*args)
         assert res.returncode == 2
-        assert res.stderr == "error: n is too large: n^2 must lie within float range\n"
+        assert res.stderr == expected
 
     @pytest.mark.parametrize("command", ["rates", "simulate-risk"])
     def test_noise_density_too_large_to_allocate_exit_code(self, tmp_path, command):

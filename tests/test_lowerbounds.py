@@ -97,6 +97,46 @@ class TestHypercube:
             build_hypercube(CLS, EPS, 100, 0.0)
 
 
+def _quadrature_chi2(theta, n):
+    """The sign-mixture chi^2 by brute force: enumerates all 2^kappa sign
+    vectors and integrates the squared n-fold product mixture by tensor
+    quadrature on [0,1)^n. Limited to n <= 3, kappa <= 3 (cost grows as 64^n)."""
+    theta = np.asarray(theta, dtype=float)
+    kappa = theta.size
+    assert n <= 3 and kappa <= 3
+    # 64 equispaced points integrate the squared mixture exactly: its degree
+    # is at most 4 n kappa <= 36 < 64
+    points = 64
+    j = np.arange(1, kappa + 1)
+    xs = np.arange(points) / points
+    phases = np.exp(2j * np.pi * np.outer(j, xs))  # (kappa, G)
+    taus = list(itertools.product((-1.0, 1.0), repeat=kappa))
+    dens = np.array([1.0 + 2.0 * np.real((t * theta) @ phases) for t in taus])
+    mix = np.zeros((points,) * n)
+    for d in dens:
+        prod = d
+        for _ in range(n - 1):
+            prod = np.multiply.outer(prod, d)
+        mix += prod
+    mix /= len(taus)
+    # null density is identically 1, so chi^2 = integral of mix^2 - 1
+    return float(np.sum(mix ** 2)) / points ** n - 1.0
+
+
+def _small_instances():
+    """(theta, n) with n, kappa <= 3: those the chi^2 tests and criterion 09
+    use, then 200 seeded random ones."""
+    vals = np.linspace(0.05, 0.3, 6)
+    out = [(np.full(kappa, t), n) for n in (1, 2) for kappa in (1, 2) for t in (0.05, 0.15, 0.3)]
+    out += [(np.array([t]), n) for n in (1, 2) for t in vals]
+    out += [(np.array([t1, t2]), n) for n in (1, 2) for t1 in vals for t2 in vals]
+    out += [(np.zeros(2), 2), (_observed_magnitudes(build_hypercube(CLS, EPS, 40, 0.3)), 2)]
+    gen = np.random.default_rng(22)
+    for _ in range(200):
+        out.append((gen.uniform(-0.4, 0.4, int(gen.integers(1, 4))), int(gen.integers(1, 4))))
+    return out
+
+
 class TestChi2Bound:
     def test_zero_theta(self):
         assert chi2_mixture_bound(np.zeros(3), 10) == 0.0
@@ -119,16 +159,38 @@ class TestChi2Bound:
 
     def test_mc_estimate_consistent_with_family(self):
         fam = build_hypercube(CLS, EPS, 40, 0.3)
-        if fam.kappa <= 3:
-            theta = _observed_magnitudes(fam)
-            est = exact_mixture_chi2(theta, 2)
-            assert 0 <= est <= chi2_mixture_bound(theta, 2) + 1e-12
+        theta = _observed_magnitudes(fam)
+        est = exact_mixture_chi2(theta, 2)
+        assert 0 <= est <= chi2_mixture_bound(theta, 2) + 1e-12
+
+    def test_closed_form_matches_quadrature_oracle(self):
+        for theta, n in _small_instances():
+            assert abs(exact_mixture_chi2(theta, n) - _quadrature_chi2(theta, n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2 ** e for e in range(8, 19)])
+    def test_bound_chain_at_family_scale(self, n):
+        # E (1 + x)^n <= E exp(n x) = prod cosh(2 n theta^2) and
+        # cosh(y) <= exp(y^2 / 2), with kappa = 4..18 on this family
+        theta = _observed_magnitudes(build_hypercube(CLS, EPS, n, 0.05))
+        exact = exact_mixture_chi2(theta, n)
+        cosh_product = float(np.prod(np.cosh(2 * n * theta ** 2))) - 1.0
+        assert 0 < exact < cosh_product <= chi2_mixture_bound(theta, n)
 
     def test_size_limits(self):
-        with pytest.raises(ValueError):
-            exact_mixture_chi2(np.zeros(4), 1)
-        with pytest.raises(ValueError):
-            exact_mixture_chi2(np.zeros(1), 4)
+        refused = [
+            (np.zeros(21), 1),  # kappa beyond MAX_SIGN_DIM
+            (np.zeros(2), 0),  # n not an integer >= 1
+            (np.zeros(2), 2.0),
+            (np.zeros(2), True),
+            (np.array([0.1, np.nan]), 2),  # theta not finite or not 1-d
+            (np.array([0.1, np.inf]), 2),
+            (np.zeros((2, 2)), 2),
+            (np.array([0.5, 0.5]), 2),  # 2 sum theta^2 >= 1
+            (np.array([np.sqrt(0.5)]), 1),
+        ]
+        for theta, n in refused:
+            with pytest.raises(ValueError):
+                exact_mixture_chi2(theta, n)
 
 
 class TestCubeIdentity:
