@@ -22,7 +22,6 @@ from .estimation import (
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
-    u_statistic_form,
 )
 from .fourier import (
     FourierDensity,

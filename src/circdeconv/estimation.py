@@ -26,13 +26,71 @@ __all__ = [
     "empirical_coeffs_batch",
     "estimate_q",
     "estimate_q_batch",
-    "u_statistic_form",
 ]
 
 
-# observations per row block of empirical_coeffs_batch: two complex
-# buffers of this size (2 MB) stay in cache
+# observations per row block of empirical_coeffs_batch: its two complex and
+# two 8-byte buffers, 48 B per observation (3 MiB), stay in cache; a longer
+# row gets two complex buffers of its own length and 8-byte ones of this
 _BLOCK_ELEMS = 1 << 16
+
+# the unit phase exp(-2 pi i y) is read from two tables at y 2^20 = i + r,
+# i an integer: C[m] = exp(-2 pi i m / 2^10), indexed by the high ten bits
+# of i mod 2^20, and F[m] = exp(-2 pi i m / 2^20), by the low ten
+_PHASE_BITS = 20
+_TABLE_BITS = 10
+_TABLE_MASK = (1 << _TABLE_BITS) - 1
+# |y| < 2^32 keeps |y| 2^20 below 2^52, where r is exact and i fits an int64
+_PHASE_LIMIT = 2.0 ** 32
+# theta = 2 pi r / 2^20 is the angle left after the table lookups
+_THETA_PER_R = -2.0 * np.pi / 2 ** _PHASE_BITS
+_HALF_THETA_SQ_PER_R_SQ = -0.5 * _THETA_PER_R ** 2
+
+
+def _phase_table(bits: int) -> np.ndarray:
+    """exp(-2 pi i m / 2^bits) for m < 2^10, evaluated in np.longdouble and
+    rounded to complex128. Each turn m / 2^bits is exact; it is reduced to
+    the nearest quarter turn q/4, an exact factor (-i)^q, so the angle that
+    cos and sin see is at most pi/4."""
+    turns = np.arange(1 << _TABLE_BITS, dtype=np.longdouble) / 2 ** bits
+    quarters = np.rint(4 * turns)
+    # 2 pi to np.longdouble precision: the double 2 pi plus its rounding error
+    two_pi = np.longdouble(2 * np.pi) + np.longdouble(2.4492935982947064e-16)
+    angle = two_pi * (turns - quarters / 4)
+    rotation = np.array([1, -1j, -1, 1j])[quarters.astype(int) % 4]
+    return ((np.cos(angle) - 1j * np.sin(angle)) * rotation).astype(complex)
+
+
+_COARSE = _phase_table(_TABLE_BITS)
+_FINE = _phase_table(_PHASE_BITS)
+
+
+def _unit_phase(y, base, scratch, t, i) -> None:
+    """Write exp(-2 pi i y) into base. scratch (complex), t (float64) and
+    i (int64) are work buffers of y's shape, overwritten.
+
+    With i = trunc(y 2^20) and r = y 2^20 - i, both exact,
+    exp(-2 pi i y) = C[(i mod 2^20) >> 10] F[i mod 2^10] (1 + d), where
+    d = -theta^2/2 - i theta drops terms below theta^3/6 < 3.6e-17, since
+    |theta| < 6.0e-6. F (1 + d) is formed as F + F d.
+    """
+    np.multiply(y, 2.0 ** _PHASE_BITS, out=t)
+    np.copyto(i, t, casting="unsafe")  # truncates toward zero
+    np.subtract(t, i, out=t)
+    np.multiply(t, _THETA_PER_R, out=scratch.imag)
+    np.square(t, out=scratch.real)
+    scratch.real *= _HALF_THETA_SQ_PER_R_SQ
+    # r is used up, so t's memory holds the low index; masking keeps every
+    # index in range, and mode="clip" writes into base without buffering it
+    low = t.view(np.int64)
+    np.bitwise_and(i, _TABLE_MASK, out=low)
+    np.right_shift(i, _TABLE_BITS, out=i)
+    np.bitwise_and(i, _TABLE_MASK, out=i)
+    np.take(_FINE, low, out=base, mode="clip")
+    scratch *= base
+    base += scratch
+    np.take(_COARSE, i, out=scratch, mode="clip")
+    base *= scratch
 
 
 def block_rows(n: int) -> int:
@@ -45,26 +103,47 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     """g_hat_1..g_hat_j_max for every row of a (B, n) observation matrix;
     returns shape (B, j_max).
 
-    Powers of the base phase exp(-2 pi i Y) are accumulated cumulatively,
-    costing O(B n j_max) with no redundant transcendental calls. Rows are
-    processed in blocks of block_rows(n) rows through two buffers
-    allocated per call (callers run it from several threads).
-    Every operation is elementwise or reduces one whole row, so each row
-    is bit-identical to evaluating the formula on the whole batch at once.
+    The base phase exp(-2 pi i Y) is read from two 1024-entry tables after
+    an exact argument reduction (_unit_phase), and its powers are
+    accumulated cumulatively, costing O(B n j_max) with no transcendental
+    call. Every observation must be finite with |Y| < 2^32; any other value
+    is refused with a ValueError. Rows are processed in blocks of
+    block_rows(n) rows through four buffers allocated per call (callers run
+    it from several threads): two complex ones for the phase and its
+    powers, and a float64 and an int64 one for the phase's argument
+    reduction, which a row longer than a block takes in column chunks.
+    Every operation is elementwise or reduces one whole row, so each row is
+    bit-identical to evaluating the formula on the whole batch at once.
     """
-    if y.ndim != 2 or j_max < 1:
-        raise ValueError(f"need a (B, n) y and j_max >= 1, got y.shape {y.shape}, j_max {j_max}")
+    if y.ndim != 2 or y.shape[1] < 1 or j_max < 1:
+        raise ValueError(
+            f"need a (B, n) y with n >= 1 and j_max >= 1, got y.shape {y.shape}, j_max {j_max}"
+        )
     b, n = y.shape
     r = block_rows(n)
     base = np.empty((min(r, b), n), dtype=complex)
     power = np.empty_like(base)
+    # the phase is elementwise, so a row longer than a block takes it in
+    # column chunks of _BLOCK_ELEMS, and t and i need no more than a block
+    cols = min(n, _BLOCK_ELEMS)
+    t = np.empty((base.shape[0], cols))
+    i = np.empty(t.shape, dtype=np.int64)
     out = np.empty((b, j_max), dtype=complex)
     for start in range(0, b, r):
         blk = y[start : start + r]
         rows = out[start : start + r]
-        bs, ps = base[: blk.shape[0]], power[: blk.shape[0]]
-        np.multiply(blk, -2j * np.pi, out=bs)
-        np.exp(bs, out=bs)
+        m = blk.shape[0]
+        # min and max are NaN if any observation is
+        if not (-_PHASE_LIMIT < blk.min() and blk.max() < _PHASE_LIMIT):
+            raise ValueError(
+                "every observation must be finite with |y| < 2^32, "
+                f"got values in [{blk.min()}, {blk.max()}]"
+            )
+        bs, ps = base[:m], power[:m]
+        for c in range(0, n, cols):
+            w = min(cols, n - c)
+            cs = slice(c, c + w)
+            _unit_phase(blk[:, cs], bs[:, cs], ps[:, cs], t[:m, :w], i[:m, :w])
         np.add.reduce(bs, axis=1, out=rows[:, 0])
         for j in range(1, j_max):
             np.multiply(ps if j > 1 else bs, bs, out=ps)
@@ -109,26 +188,3 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
     corrected = m2 - (1.0 - m2) / (n - 1)
     w = eps.modulus(np.arange(1, k + 1)) ** 2
     return 2.0 * np.cumsum(corrected / w, axis=1)[:, -1]
-
-
-def u_statistic_form(values: np.ndarray, eps: NoiseModel, k: int) -> float:
-    """The same estimator written as an explicit U-statistic over pairs:
-
-        (1/(n(n-1))) sum_{l != m} h(Y_l, Y_m),
-        h(y, y') = 2 sum_{j=1}^{k} |eps_j|^{-2} Re exp(2 pi i j (y' - y)).
-
-    O(n^2 k) reference implementation kept as an oracle for tests.
-    """
-    n = values.size
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    j = np.arange(1, k + 1)
-    w = eps.modulus(j) ** 2
-    diff = np.subtract.outer(values, values)  # (n, n): Y_l - Y_m
-    total = 0.0
-    for jj, wj in zip(j, w):
-        cos = np.cos(2.0 * np.pi * jj * diff)
-        total += (cos.sum() - n) / wj  # drop the l == m diagonal (cos 0 = 1)
-    return 2.0 * total / (n * (n - 1))

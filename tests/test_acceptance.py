@@ -45,9 +45,9 @@ from circdeconv import (
     run_test_experiment,
     sample_batch,
     truncated_functional,
-    u_statistic_form,
 )
 from circdeconv.fourier import observed_density
+from oracles import u_statistic_form
 
 MILD = NoiseModel.mild(1.0)
 SEVERE = NoiseModel.severe(1.0)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from circdeconv import harness
 from circdeconv.estimation import (
+    _unit_phase,
     empirical_coeffs_batch,
     estimate_q,
     estimate_q_batch,
-    u_statistic_form,
 )
 from circdeconv.fourier import (
     FourierDensity,
@@ -19,6 +19,7 @@ from circdeconv.fourier import (
     truncated_functional,
 )
 from circdeconv.sampling import sample_batch
+from oracles import u_statistic_form
 
 
 class TestEmpiricalCoeffs:
@@ -37,11 +38,33 @@ class TestEmpiricalCoeffs:
 
     @pytest.mark.parametrize(
         "y, j_max, named",
-        [(np.zeros((2, 5)), 0, "j_max 0"), (np.zeros(5), 3, r"y.shape \(5,\)")],
+        [
+            (np.zeros((2, 5)), 0, "j_max 0"),
+            (np.zeros(5), 3, r"y.shape \(5,\)"),
+            (np.zeros((2, 0)), 3, r"y.shape \(2, 0\)"),
+        ],
     )
     def test_refuses_bad_arguments(self, y, j_max, named):
         with pytest.raises(ValueError, match=named):
             empirical_coeffs_batch(y, j_max)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, 2.0 ** 40, -(2.0 ** 32)],
+        ids=["nan", "inf", "-inf", "2^40", "-2^32"],
+    )
+    def test_refuses_non_finite_or_huge_observations(self, bad):
+        # 2 pi y of a huge y has no fractional bits left, and y 2^20 would
+        # overflow the int64 table index
+        y = np.random.default_rng(5).random((3, 8))
+        y[1, 4] = bad
+        with pytest.raises(ValueError, match=r"finite with \|y\| < 2\^32"):
+            empirical_coeffs_batch(y, 3)
+
+    def test_estimator_refuses_nan_row(self):
+        y = np.array([[np.nan, 0.1, 0.2], [0.3, 0.4, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            estimate_q_batch(y, NoiseModel.mild(1.0), 2)
 
     def test_modulus_at_most_one(self):
         rows = empirical_coeffs_batch(np.random.default_rng(2).random(50)[np.newaxis, :], 20)
@@ -83,6 +106,19 @@ class TestEmpiricalCoeffs:
         # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB
         assert peak < 8 * 2 ** 20
 
+    def test_phase_allocates_no_block_temporary(self):
+        y = np.random.default_rng(4).random((32, 2 ** 16))
+        tracemalloc.start()
+        try:
+            empirical_coeffs_batch(y, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row per block: two complex and two 8-byte buffers of 2^16, 3 MiB,
+        # and a peak of 3.07 MiB measured; a block-sized float temporary adds
+        # 0.5 MiB, and np.take(..., mode="raise") buffering base adds 1 MiB
+        assert peak < 3.25 * 2 ** 20
+
     def test_null_batch_allocation_bounded_by_block(self):
         n = 2 ** 16
         cfg = harness.ExperimentConfig(n_grid=(n,), replications=128, threads=1)
@@ -99,7 +135,7 @@ class TestEmpiricalCoeffs:
 
 def _whole_batch_coeffs(y, j_max):
     """The coefficient kernel evaluated on the whole (B, n) batch at once."""
-    base = np.exp(-2j * np.pi * y)
+    base = _phase(y)
     b, n = y.shape
     out = np.empty((b, j_max), dtype=complex)
     power = base.copy()
@@ -108,6 +144,49 @@ def _whole_batch_coeffs(y, j_max):
         power *= base
         out[:, j] = power.mean(axis=1)
     return out
+
+
+def _phase(y):
+    """exp(-2 pi i y) for a whole array at once, through the kernel's helper."""
+    base = np.empty(y.shape, dtype=complex)
+    _unit_phase(y, base, np.empty_like(base), np.empty(y.shape), np.empty(y.shape, dtype=np.int64))
+    return base
+
+
+class TestUnitPhase:
+    """exp(-2 pi i y) from two tables after an exact argument reduction."""
+
+    EDGES = [0.0, 2.0 ** -53, 0.25, 0.5, 0.75, 1 - 2.0 ** -53, 2.0 ** -20, 1 - 2.0 ** -20]
+
+    def _sample(self):
+        return np.concatenate([np.random.default_rng(11).random(10 ** 6), self.EDGES])
+
+    def test_close_to_complex_exp(self):
+        y = self._sample()
+        got = _phase(y)
+        assert np.max(np.abs(got - np.exp(-2j * np.pi * y))) <= 1.1e-15
+        at_zero = got[y.size - len(self.EDGES)]
+        assert at_zero.real == 1.0 and at_zero.imag == 0.0
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+        reason="np.longdouble is no wider than double",
+    )
+    def test_close_to_long_double_reference(self):
+        # np.exp itself is 7.3e-16 away: it rounds 2 pi y before the exp
+        y = self._sample()
+        got = _phase(y).astype(np.clongdouble)
+        two_pi = np.longdouble(2 * np.pi) + np.longdouble(2.4492935982947064e-16)
+        angle = two_pi * y.astype(np.longdouble)
+        err = np.abs(got - (np.cos(angle) - 1j * np.sin(angle)))
+        assert float(np.max(err)) <= 3e-16
+
+    @pytest.mark.parametrize(
+        "y, want",
+        [(2.0 ** 31 + 0.25, -1j), (-0.25, 1j), (-(2.0 ** 32) + 0.5, -1.0), (2.0 ** 32 - 0.75, -1j)],
+    )
+    def test_periodic_over_the_accepted_range(self, y, want):
+        assert abs(_phase(np.array([y]))[0] - want) <= 1e-15
 
 
 class TestUnbiasedSqModulus:
