@@ -27,11 +27,9 @@ from .fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
-    convolve,
     ellipsoid_membership,
     quadratic_functional,
     truncated_functional,
-    truncated_functional_observed,
 )
 from .harness import (
     ExperimentConfig,
@@ -47,7 +45,6 @@ from .lowerbounds import (
     build_hypercube,
     build_two_point,
     chi2_mixture_bound,
-    cube_product_identity,
     exact_mixture_chi2,
     hellinger_reduction_bound,
     testing_to_estimation_lb,

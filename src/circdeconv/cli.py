@@ -103,7 +103,7 @@ def _data_setup(args):
 def cmd_estimate(args) -> int:
     _, sample, eps, k = _data_setup(args)
     result = {"n": sample.n, "k": k, "q_hat": estimate_q(sample.values, eps, k)}
-    _write_out(json.dumps(result, indent=2), args.out)
+    _write_out(json.dumps(result, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -115,7 +115,7 @@ def cmd_test(args) -> int:
         "n": sample.n, **asdict(res), "decision": res.decision,
         "alpha": cfg.alpha, "C_alpha": cal.C_alpha,
     }
-    _write_out(json.dumps(result, indent=2), args.out)
+    _write_out(json.dumps(result, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -134,7 +134,7 @@ def cmd_rates(args) -> int:
         out["scan"] = [asdict(r) for r in rows]
         slope, _, r2 = fit_rate([r.n for r in rows], [r.rho_star_sq for r in rows])
         out.update(fitted_radius_slope=slope, fit_r_squared=r2)
-    _write_out(json.dumps(out, indent=2), args.out)
+    _write_out(json.dumps(out, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -188,7 +188,7 @@ def cmd_lower_bound(args) -> int:
         except ConditionViolation as e:
             ok = False
             out[name] = {"conditions": f"FAIL {e.condition}", "detail": str(e)}
-    _write_out(json.dumps(out, indent=2), args.out)
+    _write_out(json.dumps(out, indent=2, allow_nan=False), args.out)
     return 0 if ok else CHECK_FAILED
 
 

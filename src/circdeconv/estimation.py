@@ -153,12 +153,20 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     return out
 
 
+def _described(x) -> str:
+    """x's shape if it is an ndarray, else its type, for a refusal."""
+    return f"y.shape {x.shape}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
+
+
 def estimate_q(values: np.ndarray, eps: NoiseModel, k: int) -> float:
     """The truncated-functional estimator q_hat_k of one sample, given as
-    a 1-d array of observations.
+    a 1-d ndarray of observations; anything else is refused.
 
     Unbiased for 2 sum_{j=1}^{k} |f_j|^2 under Y ~ f (*) eps.
     """
+    if not (isinstance(values, np.ndarray) and values.ndim == 1):
+        got = _described(values)
+        raise ValueError(f"estimate_q takes a 1-d ndarray of observations, got {got}")
     return float(estimate_q_batch(values[np.newaxis, :], eps, k)[0])
 
 
@@ -169,12 +177,23 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
 
     Each block goes through empirical_coeffs_batch as soon as it is
     taken, and is not read again, so a block may be a view of a buffer
-    that the iterable overwrites for the next one. Every block must have
-    the first block's n, since the bias correction uses one n; an empty
-    iterable is refused too.
+    that the iterable overwrites for the next one. Every block must be a
+    2-d ndarray with the first block's n, since the bias correction uses
+    one n; an empty iterable is refused too, and so is a k at which some
+    weight |eps_j|^-2 is not finite (|eps_j| underflows), before any block
+    is taken.
     """
+    w = eps.modulus(np.arange(1, k + 1)) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        infinite = np.flatnonzero(~np.isfinite(1.0 / w))
+    if infinite.size:
+        j = int(infinite[0]) + 1
+        raise ValueError(f"the weight |eps_j|^-2 of q_hat_k overflows at j = {j} (k = {k})")
     coeffs = []
     for blk in (y,) if isinstance(y, np.ndarray) else y:
+        if not (isinstance(blk, np.ndarray) and blk.ndim == 2):
+            accepted = "a 2-d ndarray or an iterable of 2-d ndarrays"
+            raise ValueError(f"estimate_q_batch takes {accepted}, got {_described(blk)}")
         if coeffs and blk.shape[-1] != n:
             got = blk.shape[-1]
             raise ValueError(f"every block needs the first block's n = {n}, got n = {got}")
@@ -186,5 +205,4 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
         raise ValueError("estimator needs at least one block of observations")
     m2 = np.abs(np.concatenate(coeffs)) ** 2
     corrected = m2 - (1.0 - m2) / (n - 1)
-    w = eps.modulus(np.arange(1, k + 1)) ** 2
     return 2.0 * np.cumsum(corrected / w, axis=1)[:, -1]

@@ -26,11 +26,9 @@ __all__ = [
     "FourierDensity",
     "SmoothnessClass",
     "NoiseModel",
-    "convolve",
     "observed_density",
     "quadratic_functional",
     "truncated_functional",
-    "truncated_functional_observed",
     "ellipsoid_membership",
     "l1_certified",
 ]
@@ -139,17 +137,14 @@ class FourierDensity:
         """sum_{j != 0} |f_j| = 2 sum_{j >= 1} |f_j|."""
         return 2.0 * float(np.sum(np.abs(self.coeffs[1:])))
 
-    def sup_norm_bound(self) -> float:
-        """Upper bound 1 + l1_tail on the sup norm of the density."""
-        return 1.0 + self.l1_tail
-
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, x) -> Union[float, np.ndarray]:
         """Evaluate the series at points x in [0, 1).
 
-        The imaginary part of the symmetric sum must vanish up to
-        floating noise; it is checked and discarded.
+        By Hermitian symmetry the value is 1 + 2 Re sum_{j>=1} f_j
+        exp(2 pi i j x): the imaginary parts of the j and -j terms cancel
+        exactly, so the sum is real by construction and nothing is checked.
         """
         x = np.asarray(x, dtype=float)
         j = np.arange(1, self.max_freq + 1)
@@ -176,21 +171,14 @@ def l1_certified(tails) -> np.ndarray:
     return 2.0 * np.sum(np.abs(tails), axis=-1) <= 1.0 + 1e-12
 
 
-def convolve(f: FourierDensity, eps: FourierDensity) -> FourierDensity:
-    """Circular convolution via the convolution theorem: g_j = f_j * eps_j.
-
-    The result is truncated at the smaller of the two max frequencies.
-    """
-    k = min(f.max_freq, eps.max_freq)
-    return FourierDensity(f.coeffs[: k + 1] * eps.coeffs[: k + 1])
-
-
 def observed_density(f: FourierDensity, eps: "NoiseModel") -> FourierDensity:
-    """The density g = f (*) eps of Y = X + eps mod 1: convolution with the
-    noise density if the model has one, else with the modulus sequence.
+    """The density g = f (*) eps of Y = X + eps mod 1, by the convolution
+    theorem g_j = f_j eps_j: eps_j from the noise density if the model has
+    one, else the modulus sequence.
 
     Raises InvalidDensityError, rather than truncating g, when f has a
-    nonzero coefficient above the noise density's max_freq.
+    nonzero coefficient above the noise density's max_freq; g stops at the
+    smaller of the two max frequencies.
     """
     if eps.density is None:
         j = np.arange(1, f.max_freq + 1)
@@ -202,7 +190,8 @@ def observed_density(f: FourierDensity, eps: "NoiseModel") -> FourierDensity:
             f"f has a nonzero coefficient at frequency {cut + 1 + int(beyond[-1])}, "
             f"above the noise density's max_freq {cut} (noise_max_freq in a config)"
         )
-    return convolve(f, eps.density)
+    k = min(f.max_freq, cut)
+    return FourierDensity(f.coeffs[: k + 1] * eps.density.coeffs[: k + 1])
 
 
 def quadratic_functional(f: FourierDensity) -> float:
@@ -215,21 +204,6 @@ def truncated_functional(f: FourierDensity, k: int) -> float:
     if k < 1:
         raise ValueError("truncation level k must be >= 1")
     return 2.0 * float(np.sum(np.abs(f.coeffs[1 : k + 1]) ** 2))
-
-
-def truncated_functional_observed(g: FourierDensity, eps: "NoiseModel", k: int) -> float:
-    """Same partial sum written in observation space: 2 sum |g_j|^2 / |eps_j|^2.
-
-    Under g = f (*) eps this equals truncated_functional(f, k); keeping the
-    two forms separate lets tests exercise the identity.
-    """
-    if k < 1:
-        raise ValueError("truncation level k must be >= 1")
-    j = np.arange(1, k + 1)
-    gj = np.zeros(k, dtype=complex)
-    kk = min(k, g.max_freq)
-    gj[:kk] = g.coeffs[1 : kk + 1]
-    return 2.0 * float(np.sum(np.abs(gj) ** 2 / eps.modulus(j) ** 2))
 
 
 def _check_finite(model, *names):
@@ -431,7 +405,8 @@ class NoiseModel:
         if self.sup_norm_value is not None:
             return self.sup_norm_value
         if self.density is not None:
-            return self.density.sup_norm_bound()
+            # |eps(x)| <= 1 + sum_{j != 0} |eps_j| at every x
+            return 1.0 + self.density.l1_tail
         # sequence-only model: bound via the l1 norm of the modulus sequence,
         # summed to convergence (severe; ClassNotSummable if it does not)
         if self.kind == "severe":

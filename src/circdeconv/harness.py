@@ -373,14 +373,15 @@ def run_risk_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     setups, cells = [], []
     for n_idx, n in enumerate(cfg.n_grid):
         k = resolve_k(cfg, cls, eps, n)
+        nu2 = nu_k_sq(eps, n, k)
         scen = _risk_scenarios(cfg, cls, eps, n, k)
         for s_idx, (sampler, _) in enumerate(scen.values()):
             cells.append(_Cell((s_idx, n_idx), sampler, n, k))
-        setups.append((n, k, scen))
+        setups.append((n, k, nu2, scen))
     q_hats = _q_hats(cfg, cells, eps)
     rows = []
-    for n_idx, (n, k, scen) in enumerate(setups):
-        at_n = dict(n=n, k=k, nu_k_sq=nu_k_sq(eps, n, k))
+    for n_idx, (n, k, nu2, scen) in enumerate(setups):
+        at_n = dict(n=n, k=k, nu_k_sq=nu2)
         for s_idx, (name, (_, q_true)) in enumerate(scen.items()):
             risk, risk_se = _mean_se((q_hats[s_idx, n_idx] - q_true) ** 2)
             rows.append(dict(at_n, scenario=name, q_true=q_true, risk=risk, risk_se=risk_se))
@@ -558,7 +559,7 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
     """Serialize a report to JSON (lossless) or CSV (rows only, with a
     stable documented column order) and return the text."""
     if fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
     elif fmt == "csv":
         cols = _CSV_COLUMNS[report.kind]
         buf = io.StringIO()

@@ -18,7 +18,6 @@ and raises ConditionViolation naming the first one that fails.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "TwoPointPair",
     "build_hypercube",
     "chi2_mixture_bound",
-    "cube_product_identity",
     "build_two_point",
     "hellinger_reduction_bound",
     "testing_to_estimation_lb",
@@ -168,32 +166,6 @@ def chi2_mixture_bound(theta, n: int) -> float:
             f"chi^2 bound exponent {expo:.3g} overflows; rescale the construction"
         )
     return float(np.expm1(expo))
-
-
-def cube_product_identity(J_plus, J_minus):
-    """Both sides of the sum/product exchange on sign cubes:
-
-        2^{-k} sum_{tau in {+,-}^k} prod_j J_j^{tau_j}
-            = prod_j (J_j^- + J_j^+) / 2.
-
-    The left side enumerates 2^k terms, so k <= MAX_SIGN_DIM.
-    """
-    jp = np.asarray(J_plus, dtype=float)
-    jm = np.asarray(J_minus, dtype=float)
-    if jp.shape != jm.shape or jp.ndim != 1:
-        raise ValueError("J_plus and J_minus must be 1-d arrays of equal length")
-    k = jp.size
-    if k > MAX_SIGN_DIM:
-        raise ValueError(f"enumeration limited to k <= {MAX_SIGN_DIM}")
-    lhs = 0.0
-    for tau in itertools.product((0, 1), repeat=k):
-        term = 1.0
-        for idx, t in enumerate(tau):
-            term *= jp[idx] if t else jm[idx]
-        lhs += term
-    lhs /= 2.0 ** k
-    rhs = float(np.prod((jp + jm) / 2.0))
-    return lhs, rhs
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,10 +69,14 @@ def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
     """Null fluctuation scale: nu_k^2 = sqrt(S_k) / n, S_k from variance_sums.
 
     Under the uniform null, Var_0(q_hat_k) = 2 nu_k^4 n/(n-1) exactly.
+    A non-finite S_k (some |eps_j|^-4 overflows) is refused.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    return float(np.sqrt(variance_sums(eps, k)[-1])) / n
+    s_k = variance_sums(eps, k)[-1]
+    if not np.isfinite(s_k):
+        raise ValueError(f"S_k = 2 sum_j |eps_j|^-4 over j <= k overflows at k = {k}")
+    return float(np.sqrt(s_k)) / n
 
 
 def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
@@ -292,6 +296,7 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
 
     Per n: the optimal dimension kappa*, the minimized testing radius
     rho*^2 = min_k max(a_k^2, nu_k^2), its square r*^4, and the base term.
+    A model whose |eps_1|^-4 overflows has no finite rho*^2 and is refused.
     Feeding columns of the result to fit_rate recovers the closed-form
     exponents.
     """
@@ -307,6 +312,9 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
         a2 = cls.a(ks) ** 2
         nu2 = np.sqrt(variance_sums(eps, ks.size)) / n
         rho2 = float(np.min(np.maximum(a2, nu2)))
+        if not np.isfinite(rho2):
+            # inf only if nu_k^2 is inf at every k; S_k never falls, so S_1 is
+            raise ValueError(f"rho*^2 is not finite at n = {n}: S_1 = 2 |eps_1|^-4 overflows")
         b, _ = base_term(cls, eps, n)
         rows.append(
             ScanRow(n=n, kappa_star=kappa, rho_star_sq=rho2, r_star4=rho2 ** 2, base_term=b)

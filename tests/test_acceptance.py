@@ -28,7 +28,6 @@ from circdeconv import (
     build_two_point,
     calibrate,
     chi2_mixture_bound,
-    cube_product_identity,
     emit_report,
     estimate_q,
     estimate_q_batch,
@@ -47,7 +46,7 @@ from circdeconv import (
     truncated_functional,
 )
 from circdeconv.fourier import observed_density
-from oracles import u_statistic_form
+from oracles import cube_product_identity, u_statistic_form
 
 MILD = NoiseModel.mild(1.0)
 SEVERE = NoiseModel.severe(1.0)

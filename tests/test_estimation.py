@@ -235,6 +235,37 @@ class TestEstimateQ:
         with pytest.raises(ValueError, match="y.shape"):
             estimate_q_batch(np.array([0.1, 0.2]), eps, 2)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda eps: estimate_q_batch([[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]], eps, 2), "a list"),
+            (lambda eps: estimate_q_batch([np.zeros(3)], eps, 2), r"y.shape \(3,\)"),
+            (lambda eps: estimate_q_batch(np.zeros((1, 2, 3)), eps, 2), r"y.shape \(1, 2, 3\)"),
+            (lambda eps: estimate_q([0.1, 0.2], eps, 1), "1-d ndarray of observations, got a list"),
+            (lambda eps: estimate_q(np.zeros((2, 2)), eps, 1), r"got y.shape \(2, 2\)"),
+        ],
+        ids=["nested-list", "1-d-block", "3-d-array", "single-list", "single-2-d"],
+    )
+    def test_refuses_input_of_other_shape_or_type(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(NoiseModel.mild(1.0))
+
+    @pytest.mark.parametrize(
+        "eps, k, j",
+        [(NoiseModel.mild(1.0, scale=1e-200), 1, 1), (NoiseModel.severe(2.0), 30, 19)],
+        ids=["tiny-scale", "severe"],
+    )
+    def test_refuses_infinite_weight_before_any_block(self, eps, k, j):
+        # |eps_j|^2 underflows, so the weight |eps_j|^-2 of q_hat_k is inf
+        def blocks():
+            raise AssertionError("a block was taken")
+            yield
+
+        with pytest.raises(ValueError, match=f"overflows at j = {j} \\(k = {k}\\)"):
+            estimate_q_batch(blocks(), eps, k)
+        if j > 1:
+            assert np.isfinite(estimate_q_batch(np.full((1, 4), 0.3), eps, j - 1)).all()
+
     def test_blocks_of_different_n_refused(self):
         # the bias correction uses one n, so rows of another n would be
         # corrected with the wrong one

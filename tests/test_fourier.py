@@ -9,13 +9,11 @@ from circdeconv.fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
-    convolve,
     ellipsoid_membership,
     l1_certified,
     observed_density,
     quadratic_functional,
     truncated_functional,
-    truncated_functional_observed,
 )
 from circdeconv.errors import ClassNotSummable, InvalidDensityError
 
@@ -85,7 +83,9 @@ class TestFourierDensity:
 
     def test_sup_norm_bound_dominates_grid(self):
         f = FourierDensity.from_tail([0.2, 0.1])
-        assert f.sup_norm_bound() >= np.max(f.evaluate(np.arange(256) / 256))
+        sup_norm = NoiseModel.from_density(f).sup_norm
+        assert sup_norm == 1.0 + f.l1_tail
+        assert sup_norm >= np.max(f.evaluate(np.arange(256) / 256))
 
     def test_value_equality(self):
         assert len({FourierDensity.from_tail([0.1]), FourierDensity.from_tail([0.1])}) == 1
@@ -103,8 +103,8 @@ class TestFourierDensity:
 class TestFunctionals:
     def test_convolve_multiplies_coefficients(self):
         f = FourierDensity.from_tail([0.4, 0.2])
-        e = FourierDensity.from_tail([0.5, 0.5, 0.5])
-        g = convolve(f, e)
+        eps = NoiseModel.from_density(FourierDensity.from_tail([0.5, 0.5, 0.5]))
+        g = observed_density(f, eps)
         assert g.max_freq == 2
         assert np.allclose(g.coeffs[1:], [0.2, 0.1])
 
@@ -126,12 +126,14 @@ class TestFunctionals:
             truncated_functional(f, 0)
 
     def test_observed_form_agrees_under_convolution(self):
+        # 2 sum_{j<=k} |g_j|^2 / |eps_j|^2 in observation space is the
+        # truncated functional of f
         f = FourierDensity.from_tail([0.3, 0.2])
         eps = NoiseModel.mild(1.0, max_freq=4)
-        g = convolve(f, eps.density)
-        assert truncated_functional_observed(g, eps, 2) == pytest.approx(
-            truncated_functional(f, 2), abs=1e-12
-        )
+        g = observed_density(f, eps)
+        j = np.arange(1, 3)
+        observed = 2.0 * np.sum(np.abs(g.coeffs[j]) ** 2 / eps.modulus(j) ** 2)
+        assert observed == pytest.approx(truncated_functional(f, 2), abs=1e-12)
 
     def test_observed_density_refuses_to_truncate(self):
         eps = NoiseModel.mild(1.0, max_freq=2)
@@ -273,7 +275,7 @@ class TestNoiseModel:
         assert NoiseModel.mild(1.0, sup_norm_value=2.0).sup_norm == 2.0
         # density-backed bound
         eps = NoiseModel.mild(1.0, scale=0.1, max_freq=4)
-        assert eps.sup_norm == pytest.approx(eps.density.sup_norm_bound())
+        assert eps.sup_norm == 1.0 + eps.density.l1_tail
         # severe sequence-only converges
         assert NoiseModel.severe(1.0).sup_norm == pytest.approx(
             1.0 + 2.0 * np.exp(-1) / (1 - np.exp(-1)), rel=1e-6

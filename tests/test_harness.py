@@ -652,7 +652,21 @@ class TestIngest:
             assert not isinstance(exc.value, IngestError)
 
 
+@pytest.mark.parametrize("run", [run_risk_experiment, run_test_experiment], ids=["risk", "test"])
+def test_overflowing_nu_k_sq_refused_before_any_batch(run):
+    # |eps_1|^-4 = 1e320 overflows, so nu_k^2 and the threshold are inf
+    cfg = ExperimentConfig(n_grid=(64,), replications=20, eps_scale=1e-80, a_ladder=(1.0,))
+    with mock.patch.object(harness, "estimate_q_batch", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="overflows at k = 1"):
+            run(cfg)
+
+
 class TestReports:
+    def test_json_refuses_non_finite_values(self):
+        report = ExperimentReport("risk", ({"risk": float("inf")},), {})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(report, "json")
+
     def test_json_round_trip(self):
         report = run_risk_experiment(ExperimentConfig(scenarios=("null",), **SMALL))
         loaded = json.loads(emit_report(report, "json"))
@@ -799,6 +813,36 @@ class TestCli:
         assert list(printed("test", str(data), "--k", "2")) == [
             "n", "k", "statistic", "threshold", "nu_k_sq", "decision", "alpha", "C_alpha",
         ]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("test", "DATA", "--noise", "severe", "--p", "2", "--k", "30"), "at j = 19 (k = 30)"),
+            (("estimate", "DATA", "--eps-scale", "1e-200", "--k", "1"), "at j = 1 (k = 1)"),
+            (("rates", "--eps-scale", "1e-300", "--scan"), "rho*^2 is not finite at n = 256"),
+            (("simulate-risk", "--config", "CONFIG"), "overflows at k = 1"),
+        ],
+        ids=["test", "estimate", "rates-scan", "simulate-risk"],
+    )
+    def test_non_finite_result_exit_code(self, tmp_path, args, message):
+        # each of these printed NaN or Infinity, which is not JSON, and exited 0
+        data, cfg = tmp_path / "d.txt", tmp_path / "cfg.json"
+        data.write_text("\n".join(str(v) for v in np.random.default_rng(0).random(500)))
+        cfg.write_text(json.dumps({"n_grid": [64], "replications": 20, "eps_scale": 1e-80}))
+        paths = {"DATA": str(data), "CONFIG": str(cfg)}
+        res = self._run(*(paths.get(a, a) for a in args))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
+
+    def test_non_finite_output_refused(self, tmp_path, capsys):
+        # the backstop: no command prints a number JSON cannot hold
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.2\n0.7\n")
+        with mock.patch.object(cli, "estimate_q", return_value=float("nan")):
+            assert cli.main(["estimate", str(data), "--k", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: Out of range float values")
 
     def test_usage_error_exit_code(self):
         res = self._run("estimate")  # missing data argument

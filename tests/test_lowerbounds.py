@@ -16,13 +16,13 @@ from circdeconv.lowerbounds import (
     build_hypercube,
     build_two_point,
     chi2_mixture_bound,
-    cube_product_identity,
     exact_mixture_chi2,
     hellinger_reduction_bound,
 )
 from circdeconv.lowerbounds import testing_to_estimation_lb as to_estimation_lb
 from circdeconv.rates import find_eta, numeric_rate_scan, optimal_two_point_freq, radius_upper
 from circdeconv.sampling import sample_batch
+from oracles import cube_product_identity
 
 CLS = SmoothnessClass.ordinary(1.0)
 EPS = NoiseModel.mild(1.0)

@@ -134,6 +134,24 @@ class TestBaseTerm:
             base_term(cls, eps, 10 ** 12)
 
 
+class TestNonFiniteSums:
+    # |eps_j|^-4 overflows once |eps_j| < 2^-256: at j = 1 for eps_scale
+    # 1e-80, and from j = 14 on for severe p = 2, where it is exp(4 j^2)
+    def test_nu_k_sq_refuses_overflowing_sum(self):
+        with pytest.raises(ValueError, match="overflows at k = 1"):
+            nu_k_sq(NoiseModel.mild(1.0, scale=1e-80), 64, 1)
+        eps = NoiseModel.severe(2.0)
+        assert np.isfinite(nu_k_sq(eps, 64, 13))
+        with pytest.raises(ValueError, match="overflows at k = 14"):
+            nu_k_sq(eps, 64, 14)
+
+    def test_scan_refuses_non_finite_radius(self):
+        with pytest.raises(ValueError, match="rho\\*\\^2 is not finite at n = 256"):
+            numeric_rate_scan(
+                SmoothnessClass.ordinary(1.0), NoiseModel.mild(1.0, scale=1e-300), DYADIC
+            )
+
+
 class TestNumericScan:
     def test_radius_slope_ordinary_mild(self):
         rows = numeric_rate_scan(SmoothnessClass.ordinary(1.0), NoiseModel.mild(1.0), DYADIC)

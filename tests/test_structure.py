@@ -2,7 +2,8 @@
 sequence theory in `rates` and the constructions in `lowerbounds` depend
 on no analysis module, every package export is declared in the `__all__`
 of the module it comes from, every module attribute the benchmark tracer
-wraps still exists, and every module-level private name is used."""
+wraps still exists, every module-level private name is used, and every
+exported name is called by the program or is one of the paper's results."""
 
 import ast
 import importlib
@@ -147,3 +148,39 @@ def test_every_private_name_is_used(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(private - loaded) == []
+
+
+# Exports nothing in the program calls: the paper's stated results, kept
+# as the package's API for the reader to evaluate.
+PAPER_RESULTS = {
+    "truncated_functional",
+    "chi2_mixture_bound",
+    "exact_mixture_chi2",
+    "hellinger_reduction_bound",
+    "testing_to_estimation_lb",
+    "radius_upper",
+    "risk_upper_bound",
+    "find_eta",
+    "fit_log_rate",
+}
+
+
+def test_every_export_is_called_or_a_paper_result():
+    # an exported name that no module of the program loads is code only the
+    # tests call, which belongs in tests/oracles.py, unless it is listed
+    program = [path for path in MODULES if path.name != "__init__.py"]
+    loaded = {
+        node.id
+        for path in program
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    uncalled = {
+        f"{path.stem}.{name}": name
+        for path in program
+        for name in getattr(importlib.import_module(f"circdeconv.{path.stem}"), "__all__", [])
+        if name not in loaded
+    }
+    assert sorted(key for key, name in uncalled.items() if name not in PAPER_RESULTS) == []
+    # the list holds no name the program calls or no longer exports
+    assert sorted(PAPER_RESULTS - set(uncalled.values())) == []
