@@ -469,8 +469,131 @@ DATA_FORMATS = {
     "degrees": partial(_parse_fraction, _PERIODS["degrees"]),
 }
 
-# characters of text read per block; a block's lines are parsed in bulk
-_BLOCK_CHARS = 1 << 16
+# characters of text read per block; each block is cut after a line end
+_BLOCK_CHARS = 1 << 17
+
+# byte patterns of the bulk pass: one value in every byte of a word
+_ONES = 0x0101010101010101
+_ASCII_ZEROS = ord("0") * _ONES
+_LOW7 = 0x7F * _ONES
+_DOTS = (ord(".") ^ ord("0")) * _ONES
+_ABOVE_NINE = (0x7F - 9) * _ONES
+# _LOW_BYTES[i] sets the i low bytes of a word
+_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=np.uint64)
+
+
+def _split(x):
+    """x as hi + lo exactly, each with at most 26 significant bits, so that
+    products of halves are exact (Veltkamp); x a float or an array."""
+    c = x * (2.0 ** 27 + 1)
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10^e and its halves, e <= 19; all exact (built without numpy's power,
+# which would page in its loops at import)
+_POW10 = np.array([float(10 ** e) for e in range(20)])
+_POW10_HI, _POW10_LO = np.array([_split(p) for p in _POW10.tolist()]).T
+
+
+def _text_blocks(fh):
+    """The text of fh in blocks of about _BLOCK_CHARS characters, each
+    ending with a newline (one is added after a last line without it)."""
+    while text := fh.read(_BLOCK_CHARS):
+        if text[-1] != "\n":
+            text += fh.readline()
+        yield text if text[-1] == "\n" else text + "\n"
+
+
+def _words(raw: bytes, ends: np.ndarray, count: int) -> list:
+    """The count little-endian 8-byte words of raw that end at each index
+    of ends, first word first; raw must hold 8 * count bytes before each."""
+    view = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    return [view[ends - 8 * i] for i in range(count, 0, -1)]
+
+
+def _byte_count(x: np.ndarray) -> np.ndarray:
+    """The number of bytes of x that are 1; every other byte must be 0."""
+    return (x * _ONES) >> 56
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The numbers whose decimal digits are the bytes 0..9 of x, the
+    lowest byte the leading digit (the SWAR multiply-shift)."""
+    x = (x * (10 * 2 ** 8 + 1)) >> 8
+    x = ((x & 0x00FF00FF00FF00FF) * (100 * 2 ** 16 + 1)) >> 16
+    return ((x & 0x0000FFFF0000FFFF) * (10000 * 2 ** 32 + 1)) >> 32
+
+
+def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
+    """float() of the lines of raw that end at ends, where it can be shown
+    exactly in bulk, and a mask of those lines.
+
+    A line qualifies if it has at most 24 bytes, all ASCII digits but one
+    '.' with 1 to 19 digits after it, and its digits read as an integer
+    M < 2^62; its value is M / 10^f for f fraction digits. With M and the
+    quotient q1 = M / 10^f split into parts that multiply exactly
+    (Dekker's product, no FMA), the remainder of q1 is known to far
+    better than a double, and q1 plus it rounds to float()'s correctly
+    rounded value unless it lies within 2^-40 half-ulp of a rounding
+    midpoint. Such lines, and every line of another form, are left out.
+    """
+    ok = length <= 24
+    words, dots, fraction, prev = [], 0, 0, 0
+    after = np.zeros(ends.shape, dtype=np.uint64)
+    for i, w in enumerate(_words(raw, ends, 3)):
+        # digit values 0..9, '.' as 0x1E; the bytes before the line are 0
+        x = (w ^ _ASCII_ZEROS) & ~_LOW_BYTES[np.clip(24 - 8 * i - length, 0, 8)]
+        y = x ^ _DOTS
+        # the high bit of each '.' (a zero byte of y), then of each byte above 9
+        dot = ~(((y & _LOW7) + _LOW7) | y | _LOW7)
+        ok &= dot == (((x & _LOW7) + _ABOVE_NINE) | x) & (_ONES << 7)
+        dot >>= 7
+        dots = dots + _byte_count(dot)
+        # the digits after the '.': the bytes above it, and all of a later word
+        keep = ~((dot << 8) - 1) | after
+        fraction = fraction + _byte_count(keep & _ONES)
+        after[dot != 0] = _LOW_BYTES[8]
+        # drop the '.': the bytes below it move up one, the top byte of the
+        # word before coming in at the bottom
+        shifted = (x << 8) | (prev >> 56)
+        words.append((x & keep) | (shifted & ~keep))
+        prev = x
+    top, mid, low = map(_eight_digits, words)
+    m = top * 10 ** 16 + mid * 10 ** 8 + low
+    ok &= (dots == 1) & (fraction >= 1) & (fraction <= 19) & (top <= 461) & (m < 2 ** 62)
+    m[~ok] = 0
+    m = m.astype(np.int64)
+    e = np.minimum(fraction, 19).astype(np.intp)
+    p, p_hi, p_lo = _POW10[e], _POW10_HI[e], _POW10_LO[e]
+    # M = m_hi + m_lo exactly, and q1 * 10^f = prod + prod_err exactly
+    m_hi = m.astype(float)
+    m_lo = (m - m_hi.astype(np.int64)).astype(float)
+    q1 = m_hi / p
+    q_hi, q_lo = _split(q1)
+    prod = q1 * p
+    prod_err = ((q_hi * p_hi - prod) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo
+    # (M - q1 * 10^f) / 10^f; m_hi - prod is exact (Sterbenz)
+    q2 = (((m_hi - prod) - prod_err) + m_lo) / p
+    value = q1 + q2
+    # how far q1 + q2 lies from value, against half the smaller gap around it
+    off = (q1 - value) + q2
+    ok &= np.abs(off) < (value - np.nextafter(value, 0.0)) * (0.5 - 2.0 ** -41)
+    return value, ok
+
+
+def _hhmm_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
+    """_parse_hhmm's value of each line of raw that ends at ends and is
+    "DD:DD", 5 bytes, with the hour below 24 and the minute below 60; and
+    a mask of those lines."""
+    (w,) = _words(raw, ends, 1)
+    # a 5-byte line is the word's bytes 3..7; digit values 0..9, ':' as 10
+    h1, h0, colon, m1, m0 = (((w >> 8 * j) & 0xFF) ^ ord("0") for j in range(3, 8))
+    hh, mm = h1 * 10 + h0, m1 * 10 + m0
+    ok = (length == 5) & (colon == ord(":") ^ ord("0")) & (hh < 24) & (mm < 60)
+    for digit in (h1, h0, m1, m0):
+        ok &= digit <= 9
+    return (hh * 60 + mm) / 1440.0, ok
 
 
 def _convert_block(lines: list, convert):
@@ -507,12 +630,14 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
 
     Formats: "unit" (already in [0,1)), "hhmm" ("HH:MM" clock times,
     both fields unsigned ASCII digits), "degrees" ([0, 360)). The file is
-    parsed as it is read, a block of lines at a time, with the values and
-    messages of the per-line parsers in DATA_FORMATS. Blank lines are
-    skipped but keep their line numbers; more than 1% failing non-blank
-    lines aborts, quoting the first 20. An unknown format raises
-    ValueError before the file is opened; a file that cannot be read or
-    decoded raises IngestError.
+    parsed as it is read, a block of text at a time, with the values and
+    messages of the per-line parsers in DATA_FORMATS: a bulk pass takes
+    the lines whose value it can show to be exactly the parser's, and the
+    parser reads the rest one at a time. Blank lines are skipped but keep
+    their line numbers; more than 1% failing non-blank lines aborts,
+    quoting the first 20. An unknown format raises ValueError before the
+    file is opened; a file that cannot be read or decoded raises
+    IngestError.
     """
     parse = DATA_FORMATS.get(fmt)
     if parse is None:
@@ -520,22 +645,36 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     # float() reads a line of a fractional format; an hhmm value is already
     # a fraction of a day, so its period is 1
     convert, period = (float, _PERIODS[fmt]) if fmt in _PERIODS else (parse, 1.0)
+    bulk = _decimal_lines if fmt in _PERIODS else _hhmm_lines
     out, failures, total, pos = array("d"), [], 0, 0
     try:
         with open(path) as fh:
-            while lines := fh.readlines(_BLOCK_CHARS):
-                values, kept = _convert_block(lines, convert)
-                total += len(kept)
-                block = np.array(values, dtype=float)
+            for text in _text_blocks(fh):
+                # newlines before the text, so that 24 bytes precede every line end
+                raw = b"\n" * 24 + text.encode("utf-8", "surrogatepass")
+                newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))[23:]
+                starts, ends = newlines[:-1] + 1, newlines[1:]
+                values, kept = bulk(raw, ends, ends - starts)
+
+                def line(i):
+                    return raw[starts[i] : ends[i] + 1].decode("utf-8", "surrogatepass")
+
+                rest = np.flatnonzero(~kept)
+                rest_values, rest_kept = _convert_block([line(i) for i in rest], convert)
+                values[rest[rest_kept]] = rest_values
+                kept[rest[rest_kept]] = True
+                at = np.flatnonzero(kept)
+                total += at.size
+                block = values[at]
                 # a refused line is NaN, so this one check catches every bad line
                 ok = (block >= 0.0) & (block < period)
-                for i in np.flatnonzero(~ok)[: 20 - len(failures)]:
+                for i in at[np.flatnonzero(~ok)[: 20 - len(failures)]]:
                     try:
-                        parse(lines[kept[i]].strip())
+                        parse(line(i).strip())
                     except ValueError as e:
-                        failures.append((pos + kept[i] + 1, str(e)))
+                        failures.append((pos + i + 1, str(e)))
                 out.frombytes((block[ok] / period).tobytes())
-                pos += len(lines)
+                pos += ends.size
     except (OSError, UnicodeDecodeError) as e:
         raise IngestError(f"cannot read {path}: {e}") from e
     if not total:

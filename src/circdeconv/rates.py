@@ -73,10 +73,15 @@ def nu_k_sq(eps: NoiseModel, n: int, k: int) -> float:
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    s_k = variance_sums(eps, k)[-1]
+    s_k = _finite_s_k(variance_sums(eps, k)[-1], k)
+    return float(np.sqrt(s_k)) / n
+
+
+def _finite_s_k(s_k, k: int):
+    """s_k, the S_k of variance_sums; a ValueError if it overflowed."""
     if not np.isfinite(s_k):
         raise ValueError(f"S_k = 2 sum_j |eps_j|^-4 over j <= k overflows at k = {k}")
-    return float(np.sqrt(s_k)) / n
+    return s_k
 
 
 def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
@@ -86,7 +91,8 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     variance proxy; the smallest crossing balances them. The scan reads
     prefixes of 64, 256, ... frequencies up to the window, stopping at the
     first that holds a crossing; S_k and a_k do not depend on the prefix,
-    so the result is that of one scan over the whole window.
+    so the result is that of one scan over the whole window. A crossing
+    whose S_k overflows is refused, as nu_k_sq refuses it.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -99,9 +105,12 @@ def optimal_dim_est(cls: SmoothnessClass, eps: NoiseModel, n: int) -> int:
     while True:
         width = min(width, k_max)
         a4 = cls.a(np.arange(1, width + 1)) ** 4
-        hits = np.flatnonzero(a4 <= variance_sums(eps, width) / n_sq)
+        s = variance_sums(eps, width)
+        hits = np.flatnonzero(a4 <= s / n_sq)
         if hits.size:
-            return int(hits[0]) + 1
+            k = int(hits[0]) + 1
+            _finite_s_k(s[k - 1], k)
+            return k
         if width == k_max:
             raise DimensionNotFound(f"no k <= {k_max} balances bias and variance at n = {n}")
         width *= 4
@@ -296,7 +305,8 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
 
     Per n: the optimal dimension kappa*, the minimized testing radius
     rho*^2 = min_k max(a_k^2, nu_k^2), its square r*^4, and the base term.
-    A model whose |eps_1|^-4 overflows has no finite rho*^2 and is refused.
+    A model whose |eps_1|^-4 overflows has no finite rho*^2; optimal_dim_est
+    refuses it.
     Feeding columns of the result to fit_rate recovers the closed-form
     exponents.
     """
@@ -312,9 +322,6 @@ def numeric_rate_scan(cls: SmoothnessClass, eps: NoiseModel, n_grid):
         a2 = cls.a(ks) ** 2
         nu2 = np.sqrt(variance_sums(eps, ks.size)) / n
         rho2 = float(np.min(np.maximum(a2, nu2)))
-        if not np.isfinite(rho2):
-            # inf only if nu_k^2 is inf at every k; S_k never falls, so S_1 is
-            raise ValueError(f"rho*^2 is not finite at n = {n}: S_1 = 2 |eps_1|^-4 overflows")
         b, _ = base_term(cls, eps, n)
         rows.append(
             ScanRow(n=n, kappa_star=kappa, rho_star_sq=rho2, r_star4=rho2 ** 2, base_term=b)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,21 @@ def _per_line_ingest(path, fmt):
     return CircularSample(np.array(values))
 
 
+def _midpoint_text(x: float, digits: int) -> str:
+    """The exact midpoint of the double x > 0 and the next larger one, cut
+    to the given number of significant digits."""
+    f, e = math.frexp(x)
+    # the midpoint is (2 M + 1) / 2^k, M = f 2^53; times 10^k an integer
+    k = 54 - e
+    scaled = str((2 * int(f * 2 ** 53) + 1) * 5 ** k).rjust(k + 1, "0")
+    first = len(scaled) - len(scaled.lstrip("0"))
+    return f"{scaled[:-k]}.{scaled[-k:first + digits]}"
+
+
+def _significant_digits(text: str) -> int:
+    return len(text.replace(".", "").lstrip("0"))
+
+
 def _outcome(ingest, path, fmt):
     """The array bytes, or the type and text of the error."""
     try:
@@ -125,10 +141,17 @@ _GOOD_LINE = {
     "hhmm": st.builds("{:02d}:{:02d}".format, st.integers(0, 23), st.integers(0, 59)),
 }
 # out of range, unparsable or blank in some format; the padding "\x1c" and
-# "\x1f" is stripped by str.strip() but refused by float()
+# "\x1f" is stripped by str.strip() but refused by float(). The rest lie on
+# either side of a limit of the bulk pass: no digit before or after the
+# '.', two dots, an exponent, non-ASCII digits, 19 and 20 significant
+# digits (M below and above 2^62), M = 10 * 2^64 + 3, 24 and 25 bytes,
+# a minute of 60 and a valid time after a byte too many
 _ODD_LINE = st.sampled_from(
     ["1.5", "-0.25", "-0.0", "360", "359.5", "24:00", "7:5", "12:30", "12:-0", "n/a", "0x1",
-     "1_0", "nan", "inf", "-inf", "1e400", "0.5.5", "", " "]
+     "1_0", "nan", "inf", "-inf", "1e400", "0.5.5", "", " ", ".5", "5.", ".", "1.2.3", "1e-05",
+     "\u0660.\u0665", "0.4611686018427387903", "0.46116860184273879031",
+     "18446744073709551616.3", "0" * 19 + ".0625", "0" * 20 + ".0625",
+     "-" + "0" * 19 + ".0625", "23:59", "12:60", "x12:30"]
 )
 _PAD = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\x1c", "\x1f", "\xa0", "\u3000"])
 _END = st.sampled_from(["\n", "\r\n", "\r"])
@@ -137,12 +160,14 @@ _END = st.sampled_from(["\n", "\r\n", "\r"])
 @st.composite
 def _data_files(draw):
     """A format and the text of a file in it: mostly good lines, a few odd
-    ones and empty lines at random places, padded and ended in every way."""
+    ones and empty lines at random places, padded and ended in every way.
+    About half the lines are bare and end in "\n", the form the bulk pass
+    takes."""
     fmt = draw(st.sampled_from(sorted(_GOOD_LINE)))
     texts = draw(st.lists(_GOOD_LINE[fmt], max_size=300))
-    for odd in draw(st.lists(_ODD_LINE, max_size=5)):
+    for odd in draw(st.lists(_ODD_LINE, max_size=10)):
         texts.insert(draw(st.integers(0, len(texts))), odd)
-    frame = st.tuples(_PAD, _PAD, _END)
+    frame = st.one_of(st.just(("", "", "\n")), st.tuples(_PAD, _PAD, _END))
     frames = draw(st.lists(frame, min_size=len(texts), max_size=len(texts)))
     lines = [f"{a}{t}{b}{e}" for t, (a, b, e) in zip(texts, frames)]
     for end in draw(st.lists(_END, max_size=30)):
@@ -602,11 +627,11 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert np.array_equal(s.values, values)
-        # the values as Python floats and as arrays peak near 4.6 MiB; a
-        # list of the file's lines would add about 15 MiB
+        # one block's text, its bytes and per-line arrays, and the values
+        # peak near 3 MiB; a list of the file's lines would add about 15 MiB
         assert peak < 8 * 2 ** 20
 
-    @settings(deadline=None, max_examples=50, derandomize=True)
+    @settings(deadline=None, max_examples=200, derandomize=True)
     @given(data=_data_files(), block_chars=st.sampled_from([1, 7, 64, 1 << 16]))
     def test_block_parse_matches_per_line_loop(self, tmp_path_factory, data, block_chars):
         fmt, text = data
@@ -623,7 +648,7 @@ class TestIngest:
         n = 4 * harness._BLOCK_CHARS // 6
         p.write_text("0.250\n" * n)
         with open(p) as fh:
-            sizes = list(iter(lambda: len(fh.readlines(harness._BLOCK_CHARS)), 0))
+            sizes = [block.count("\n") for block in harness._text_blocks(fh)]
         assert len(sizes) >= 4
         b1, b2 = sizes[0], sizes[0] + sizes[1]
         # the last line of block 0, the first and last of block 1 and the
@@ -642,6 +667,49 @@ class TestIngest:
         quoted = "; ".join(f"line {i + 1}: {messages[j % 2]}" for j, i in enumerate(at[:20]))
         assert str(exc.value) == f"{len(at)}/{n} lines failed to parse: {quoted}"
         assert str(exc.value) == _outcome(_per_line_ingest, p, "unit")[1]
+
+    @pytest.mark.parametrize("fmt, period, seed", [("unit", 1.0, 5), ("degrees", 360.0, 6)])
+    def test_near_midpoint_decimals_match_per_line_loop(self, tmp_path, fmt, period, seed):
+        # the exact midpoint between a double and the next, cut to 16-20
+        # significant digits, lies as close to a rounding boundary as a
+        # decimal of that length can; with 20 digits M exceeds 2^62
+        gen = np.random.default_rng(seed)
+        xs = (gen.random(100_000) * period).tolist()
+        texts = [_midpoint_text(x, d) for x, d in zip(xs, gen.integers(16, 21, len(xs)).tolist())]
+        p = tmp_path / "d.txt"
+        p.write_text("\n".join(texts) + "\n")
+        per_line = []
+        convert = harness._convert_block
+
+        def counted(lines, parse):
+            per_line.extend(lines)
+            return convert(lines, parse)
+
+        with mock.patch.object(harness, "_convert_block", counted):
+            assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
+        # the bulk pass took most lines, and float() at least the 20-digit ones
+        assert sum(d == 20 for d in map(_significant_digits, texts)) <= len(per_line) < len(xs) / 2
+
+    def test_hhmm_bulk_pass_matches_per_line_loop(self, tmp_path):
+        gen = np.random.default_rng(8)
+        texts = [f"{h:02d}:{m:02d}" for h, m in zip(gen.integers(0, 24, 100_000).tolist(),
+                                                     gen.integers(0, 60, 100_000).tolist())]
+        # good lines the bulk pass leaves to _parse_hhmm, and bad ones
+        odd = [" 12:30", "12:30\t", "7:05", "07:5", "0007:05", "\x1c23:59", "", "  ",
+               "24:00", "12:60", "99:99", "-1:30", "+1:30", "ab:cd", "12-30", "1230",
+               "\u0660\u0667:\u0660\u0665", "12:3a", "12:30:00", "1_2:30", "x12:30"]
+        for i in gen.choice(len(texts), 900, replace=False).tolist():
+            texts[i] = odd[i % len(odd)]
+        p = tmp_path / "d.txt"
+        p.write_text("\n".join(texts) + "\n")
+        outcome = _outcome(ingest_circular_data, p, "hhmm")
+        assert isinstance(outcome, bytes)
+        assert outcome == _outcome(_per_line_ingest, p, "hhmm")
+        # past the 1% limit: the same first 20 failures
+        texts = [odd[i // 40 % len(odd)] if i % 40 == 0 else t for i, t in enumerate(texts[:4000])]
+        p.write_text("\n".join(texts) + "\n")
+        assert _outcome(ingest_circular_data, p, "hhmm")[0] == "IngestError"
+        assert _outcome(ingest_circular_data, p, "hhmm") == _outcome(_per_line_ingest, p, "hhmm")
 
     def test_unknown_format_refused_before_reading(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -819,13 +887,15 @@ class TestCli:
         [
             (("test", "DATA", "--noise", "severe", "--p", "2", "--k", "30"), "at j = 19 (k = 30)"),
             (("estimate", "DATA", "--eps-scale", "1e-200", "--k", "1"), "at j = 1 (k = 1)"),
-            (("rates", "--eps-scale", "1e-300", "--scan"), "rho*^2 is not finite at n = 256"),
+            (("rates", "--eps-scale", "1e-300", "--scan"), "overflows at k = 1"),
             (("simulate-risk", "--config", "CONFIG"), "overflows at k = 1"),
+            (("lower-bound", "--eps-scale", "1e-300", "--n", "1000"), "overflows at k = 1"),
         ],
-        ids=["test", "estimate", "rates-scan", "simulate-risk"],
+        ids=["test", "estimate", "rates-scan", "simulate-risk", "lower-bound"],
     )
     def test_non_finite_result_exit_code(self, tmp_path, args, message):
-        # each of these printed NaN or Infinity, which is not JSON, and exited 0
+        # each of these printed NaN or Infinity, which is not JSON, and exited
+        # 0, except lower-bound, which warned and named neither S_k nor k
         data, cfg = tmp_path / "d.txt", tmp_path / "cfg.json"
         data.write_text("\n".join(str(v) for v in np.random.default_rng(0).random(500)))
         cfg.write_text(json.dumps({"n_grid": [64], "replications": 20, "eps_scale": 1e-80}))

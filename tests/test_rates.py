@@ -145,8 +145,18 @@ class TestNonFiniteSums:
         with pytest.raises(ValueError, match="overflows at k = 14"):
             nu_k_sq(eps, 64, 14)
 
+    def test_kappa_star_refuses_overflowing_sum(self):
+        # a_1^4 <= S_1 / n^2 holds when S_1 is inf, so the first crossing
+        # would be k = 1 with an infinite variance proxy
+        eps = NoiseModel.mild(1.0, scale=1e-300)
+        with pytest.raises(ValueError, match="overflows at k = 1"):
+            optimal_dim_est(SmoothnessClass.ordinary(1.0), eps, 1000)
+        with pytest.raises(ValueError, match="overflows at k = 1"):
+            build_hypercube(SmoothnessClass.ordinary(1.0), eps, 1000, 0.05)
+
     def test_scan_refuses_non_finite_radius(self):
-        with pytest.raises(ValueError, match="rho\\*\\^2 is not finite at n = 256"):
+        # rho*^2 is inf only if S_1 is, and kappa* refuses that first
+        with pytest.raises(ValueError, match="overflows at k = 1"):
             numeric_rate_scan(
                 SmoothnessClass.ordinary(1.0), NoiseModel.mild(1.0, scale=1e-300), DYADIC
             )
