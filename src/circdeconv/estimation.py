@@ -99,7 +99,19 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMS // max(n, 1))
 
 
-def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
+def _work_buffers(rows: int, n: int) -> tuple:
+    """The four work buffers of empirical_coeffs_batch for blocks of up to
+    rows rows of n observations: two complex ones of (rows, n) for the
+    phase and its powers, and a float64 and an int64 one for the phase's
+    argument reduction. The phase is elementwise, so a row longer than a
+    block takes it in column chunks of _BLOCK_ELEMS, and these two need
+    no more than a block."""
+    base = np.empty((rows, n), dtype=complex)
+    t = np.empty((rows, min(n, _BLOCK_ELEMS)))
+    return base, np.empty_like(base), t, np.empty(t.shape, dtype=np.int64)
+
+
+def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None) -> np.ndarray:
     """g_hat_1..g_hat_j_max for every row of a (B, n) observation matrix;
     returns shape (B, j_max).
 
@@ -108,10 +120,11 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
     accumulated cumulatively, costing O(B n j_max) with no transcendental
     call. Every observation must be finite with |Y| < 2^32; any other value
     is refused with a ValueError. Rows are processed in blocks of
-    block_rows(n) rows through four buffers allocated per call (callers run
-    it from several threads): two complex ones for the phase and its
-    powers, and a float64 and an int64 one for the phase's argument
-    reduction, which a row longer than a block takes in column chunks.
+    block_rows(n) rows through the four buffers of _work_buffers: work,
+    if given (buffers for at least min(B, block_rows(n)) rows at this n,
+    which a caller reuses across calls), else ones allocated for this call.
+    Each call owns its buffers while it runs, so callers in several
+    threads each pass their own.
     Every operation is elementwise or reduces one whole row, so each row is
     bit-identical to evaluating the formula on the whole batch at once.
     """
@@ -121,13 +134,8 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int) -> np.ndarray:
         )
     b, n = y.shape
     r = block_rows(n)
-    base = np.empty((min(r, b), n), dtype=complex)
-    power = np.empty_like(base)
-    # the phase is elementwise, so a row longer than a block takes it in
-    # column chunks of _BLOCK_ELEMS, and t and i need no more than a block
-    cols = min(n, _BLOCK_ELEMS)
-    t = np.empty((base.shape[0], cols))
-    i = np.empty(t.shape, dtype=np.int64)
+    base, power, t, i = work if work is not None else _work_buffers(min(r, b), n)
+    cols = t.shape[1]
     out = np.empty((b, j_max), dtype=complex)
     for start in range(0, b, r):
         blk = y[start : start + r]
@@ -177,7 +185,10 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
 
     Each block goes through empirical_coeffs_batch as soon as it is
     taken, and is not read again, so a block may be a view of a buffer
-    that the iterable overwrites for the next one. Every block must be a
+    that the iterable overwrites for the next one. The kernel's work
+    buffers are allocated on the first block and reused by the later ones,
+    reallocated only for a block taller than any before it (up to
+    block_rows(n) rows). Every block must be a
     2-d ndarray with the first block's n, since the bias correction uses
     one n; an empty iterable is refused too, and so is a k at which some
     weight |eps_j|^-2 is not finite (|eps_j| underflows), before any block
@@ -189,7 +200,7 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
     if infinite.size:
         j = int(infinite[0]) + 1
         raise ValueError(f"the weight |eps_j|^-2 of q_hat_k overflows at j = {j} (k = {k})")
-    coeffs = []
+    coeffs, work = [], None
     for blk in (y,) if isinstance(y, np.ndarray) else y:
         if not (isinstance(blk, np.ndarray) and blk.ndim == 2):
             accepted = "a 2-d ndarray or an iterable of 2-d ndarrays"
@@ -200,7 +211,10 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
         n = blk.shape[-1]
         if k < 1 or n < 2:
             raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
-        coeffs.append(empirical_coeffs_batch(blk, k))
+        rows = min(block_rows(n), blk.shape[0])
+        if work is None or len(work[0]) < rows:
+            work = _work_buffers(rows, n)
+        coeffs.append(empirical_coeffs_batch(blk, k, work))
     if not coeffs:
         raise ValueError("estimator needs at least one block of observations")
     m2 = np.abs(np.concatenate(coeffs)) ** 2

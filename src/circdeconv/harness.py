@@ -55,7 +55,9 @@ __all__ = [
 
 _BATCH_SIZE = 128
 
-# the largest n whose (batch, n) complex buffer of 16-byte entries numpy can describe
+# the largest n at which a batch of n-samples, at 16 bytes per observation, has a
+# byte count numpy's intp holds. No buffer that size is made, but every size a batch
+# derives from n stays describable, so an n too large to draw fails with a MemoryError
 _MAX_N = np.iinfo(np.intp).max // (16 * _BATCH_SIZE)
 
 # the stress set of the risk experiment, as named in a config's scenarios
@@ -117,7 +119,7 @@ class ExperimentConfig:
     ValueError naming its field. replications is at least 2, so that
     every row has a standard error; threads and noise_max_freq are at
     least 1, seed at least 0, each n in n_grid at least 2 and at most
-    _MAX_N (so that numpy can describe a batch's buffers), and each A in
+    _MAX_N (so that numpy can describe every buffer a batch needs), and each A in
     a_ladder a finite number > 0 (A = 0 is the null row's key); each
     scenario is one of _SCENARIOS.
     replications and seed take an int, the other integer fields also an
@@ -235,7 +237,7 @@ def _report(cfg: ExperimentConfig, kind: str, rows: list, **meta) -> ExperimentR
     """The report of a run of cfg: its rows, the metadata that reproduces
     them, and meta, the entries particular to the kind."""
     metadata = dict(config=cfg.identity_dict(), config_hash=cfg.config_hash(), seed=cfg.seed)
-    return ExperimentReport(kind, tuple(rows), {**metadata, **meta, "artifact_version": 1})
+    return ExperimentReport(kind, tuple(rows), {**metadata, **meta, "artifact_version": 2})
 
 
 # -- Monte Carlo engine -------------------------------------------------
@@ -254,13 +256,25 @@ class _Cell(NamedTuple):
 def _q_hats(cfg: ExperimentConfig, cells: list, eps: NoiseModel) -> dict:
     """cell.key -> q_hat_k of cfg.replications independent n-samples, in order.
 
-    Batch b of a cell draws from
+    Stream rule. Batch b of a cell draws from
     np.random.SeedSequence(cfg.seed, spawn_key=cell.key + (b,)), so the key
     names the cell's stream and its result wherever the cell stands in cells.
-    sampler(gen, batch_size, n) gives the batch's observations in a form
-    estimate_q_batch takes: a (batch_size, n) matrix, or (rows, n) blocks
-    in row order (the null sampler's reused-buffer views). At
-    threads == 1 the batches run in the calling thread in cell order.
+    sampler(gen, batch_size, n) yields the batch's observations as row
+    blocks of block_rows(n) rows, the last one shorter if the batch ends
+    there, each a view of a buffer reused for the next block, and
+    estimate_q_batch takes each block as it comes. Block by block, in row
+    order, the generator gives:
+      - null: gen.random((rows, n)), so the blocks are exactly the
+        whole-batch gen.random((batch_size, n));
+      - fixed density g: one sample_batch call on g's one coefficient row
+        with rows * n draws, reshaped to (rows, n);
+      - hypercube mixture: first, once per batch, the sign vectors
+        gen.choice([-1, 1], (batch_size, kappa)); then per block one
+        sample_batch call on that block's rows of sign-flipped
+        coefficients.
+    sample_batch documents the order of the draws within a call.
+
+    At threads == 1 the batches run in the calling thread in cell order.
     Otherwise every batch of every cell goes to one thread pool, queued
     largest n first, so the cheapest batches are the last to finish; a
     batch that raises cancels those not yet started. Either way each
@@ -294,31 +308,45 @@ def _mean_se(x: np.ndarray):
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
 
-def _null_sampler(gen, size, n):
-    """Uniform observations of size replications, yielded as successive
-    row blocks of the coefficient kernel's height. Each block is a view
-    of one reused buffer, valid only until the next block is requested;
-    in row order the blocks are exactly gen.random((size, n))."""
+def _row_blocks(size: int, n: int):
+    """(start, view) for successive row blocks of size rows of n
+    observations, block_rows(n) rows each but the last: views of one
+    buffer reused for every block."""
     buf = np.empty((min(block_rows(n), size), n))
     for start in range(0, size, len(buf)):
-        yield gen.random(out=buf[: size - start])
+        yield start, buf[: size - start]
+
+
+def _null_sampler(gen, size, n):
+    """Uniform observations of size replications, one block at a time; in
+    row order the blocks are exactly gen.random((size, n))."""
+    for _, blk in _row_blocks(size, n):
+        yield gen.random(out=blk)
 
 
 def _fixed_density_sampler(g: FourierDensity):
-    """Sampler drawing every replication from the same observation density."""
+    """Sampler drawing every replication from the same observation density:
+    each block is one sample_batch call on g's one coefficient row."""
+    row = g.coeffs[np.newaxis, 1:]
 
     def sampler(gen, size, n):
-        return sample_batch(g.coeffs[np.newaxis, 1:], size * n, gen).reshape(size, n)
+        for _, blk in _row_blocks(size, n):
+            sample_batch(row, blk.size, gen, out=blk.reshape(1, -1))
+            yield blk
 
     return sampler
 
 
 def _mixture_sampler(theta_obs: np.ndarray):
-    """Hypercube mixture: fresh sign vector per replication."""
+    """Hypercube mixture: a fresh sign vector per replication, all drawn
+    before the first block, then one sample_batch call per block on its
+    replications' coefficient rows."""
 
     def sampler(gen, size, n):
         taus = gen.choice([-1.0, 1.0], size=(size, theta_obs.size))
-        return sample_batch(taus * theta_obs, n, gen)
+        rows = taus * theta_obs
+        for start, blk in _row_blocks(size, n):
+            yield sample_batch(rows[start : start + len(blk)], n, gen, out=blk)
 
     return sampler
 

@@ -55,3 +55,42 @@ def cube_product_identity(J_plus, J_minus):
     lhs /= 2.0 ** k
     rhs = float(np.prod((jp + jm) / 2.0))
     return lhs, rhs
+
+
+def composition_draws(coeff_rows, n: int, gen: np.random.Generator) -> np.ndarray:
+    """sample_batch's draws recomputed one row and one component at a time
+    from the order its docstring gives: the (B, n) picks, the (B, n)
+    uniforms, then the component variates, column by column for one row
+    and in one pass over every candidate for several rows. Each draw's
+    component is located by searchsorted on its own row's cumulative
+    weights, and the uniform on {0..j-1} of component j is a separate
+    integer draw."""
+    rows = np.asarray(coeff_rows, dtype=complex)
+    b, cols = rows.shape
+    picks, y = gen.random((b, n)), gen.random((b, n))
+    upper = np.cumsum(2.0 * np.abs(rows), axis=1)
+    # column index of each draw's component; cols for the uniform part
+    comp = np.array([np.searchsorted(upper[r], picks[r], side="right") for r in range(b)])
+    shift = np.mod(-0.5 - np.angle(rows) / (2.0 * np.pi), 1.0)
+
+    def component(z, m, row, col):
+        x = (z + m + shift[row, col]) / (col + 1)
+        return x - np.floor(x)
+
+    def sine_squared(size):
+        t, c = np.sqrt(gen.random(size)), gen.random(size)
+        return np.arccos(t * np.cos(c * np.pi)) / np.pi
+
+    if b == 1:
+        for col in np.flatnonzero(rows[0]):
+            chosen = np.flatnonzero(comp[0] == col)
+            z = sine_squared(chosen.size)
+            m = gen.integers(0, col + 1, chosen.size)
+            y[0, chosen] = component(z, m, 0, col)
+        return y
+    row, draw = np.nonzero(comp < cols)
+    col = comp[row, draw]
+    z = sine_squared(row.size)
+    m = gen.integers(0, col + 1)
+    y[row, draw] = component(z, m, row, col)
+    return y

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circdeconv import harness
+from circdeconv import estimation, harness
 from circdeconv.estimation import (
     _unit_phase,
     empirical_coeffs_batch,
@@ -18,6 +18,7 @@ from circdeconv.fourier import (
     observed_density,
     truncated_functional,
 )
+from circdeconv.lowerbounds import build_hypercube
 from circdeconv.sampling import sample_batch
 from oracles import u_statistic_form
 
@@ -131,6 +132,28 @@ class TestEmpiricalCoeffs:
             tracemalloc.stop()
         # the null batch drawn whole is a (128, 65536) matrix, 64 MiB
         assert peak < 8 * 2 ** 20
+
+    def test_non_null_batches_allocation_bounded_by_block(self):
+        # one 128-row batch of a hypercube mixture and one of the boundary
+        # density: drawn whole they peaked at 145 and 196 MiB, and a block
+        # at a time at 4.3 and 4.9 MiB (3 MiB of it kernel buffers)
+        n = 2 ** 16
+        cfg = harness.ExperimentConfig(n_grid=(n,), scenarios=("hypercube", "boundary"))
+        cls, eps = cfg.smoothness_class(), cfg.noise_model()
+        k = harness.resolve_k(cfg, cls, eps, n)
+        fam = build_hypercube(cls, eps, n, cfg.alpha)
+        theta_obs = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
+        samplers = [harness._mixture_sampler(theta_obs),
+                    harness._risk_scenarios(cfg, cls, eps, n, k)["boundary"][0]]
+        for sampler in samplers:
+            tracemalloc.start()
+            try:
+                q_hat = estimate_q_batch(sampler(np.random.default_rng(3), 128, n), eps, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert q_hat.shape == (128,)
+            assert peak < 16 * 2 ** 20
 
 
 def _whole_batch_coeffs(y, j_max):
@@ -276,6 +299,24 @@ class TestEstimateQ:
             estimate_q_batch([a, b], eps, 3)
         with pytest.raises(ValueError, match="at least one block"):
             estimate_q_batch(iter([]), eps, 3)
+
+    @pytest.mark.parametrize(
+        "heights, allocations",
+        [([21] * 6 + [2], 1), ([1, 3, 2, 3], 2), ([40, 40], 1)],
+        ids=["ragged-last-block", "taller-later-block", "taller-than-kernel-block"],
+    )
+    def test_work_buffers_reused_across_blocks(self, heights, allocations, monkeypatch):
+        # at n = 3000 a kernel block is 21 rows; the buffers are allocated
+        # once and again only for a block taller than any before it
+        calls = []
+        allocate = estimation._work_buffers
+        monkeypatch.setattr(estimation, "_work_buffers", lambda *a: calls.append(a) or allocate(*a))
+        eps = NoiseModel.mild(1.0)
+        y = np.random.default_rng(12).random((sum(heights), 3000))
+        blocks = np.split(y, np.cumsum(heights)[:-1])
+        assert np.array_equal(estimate_q_batch(iter(blocks), eps, 4), estimate_q_batch(y, eps, 4))
+        assert len(calls) == 1 + allocations
+        assert max(rows for rows, _ in calls[:-1]) == min(max(heights), 21)
 
     def test_null_mean_near_zero(self):
         eps = NoiseModel.mild(1.0)

@@ -17,9 +17,15 @@ from hypothesis import strategies as st
 
 import circdeconv
 from circdeconv import cli, harness, testing
-from circdeconv.estimation import estimate_q_batch
+from circdeconv.estimation import block_rows, estimate_q_batch
 from circdeconv.errors import ConditionViolation, IngestError, InvalidDensityError
-from circdeconv.fourier import NoiseModel, SmoothnessClass, observed_density, quadratic_functional
+from circdeconv.fourier import (
+    FourierDensity,
+    NoiseModel,
+    SmoothnessClass,
+    observed_density,
+    quadratic_functional,
+)
 from circdeconv.harness import (
     DATA_FORMATS,
     ExperimentConfig,
@@ -31,7 +37,7 @@ from circdeconv.harness import (
 )
 from circdeconv.lowerbounds import build_hypercube, build_two_point
 from circdeconv.rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq
-from circdeconv.sampling import CircularSample
+from circdeconv.sampling import CircularSample, sample_batch
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
@@ -75,13 +81,49 @@ _CANONICAL_TYPE = dict(
 _LISTS = ("n_grid", "scenarios", "a_ladder")
 
 
-def _null_q_hats(cfg, cell, n, k):
-    """q_hat_k of every replication of a null cell, drawn by the stream
-    rule: batch b from numpy's SeedSequence(seed, spawn_key=cell + (b,))."""
+def _whole_null(gen, size, n):
+    """A null batch by the stream rule: its blocks are exactly one draw."""
+    return gen.random((size, n))
+
+
+def _block_heights(size, n):
+    """(first row, rows) of each kernel block of a batch of size rows."""
+    r = block_rows(n)
+    return [(start, min(r, size - start)) for start in range(0, size, r)]
+
+
+def _fixed_density_rule(g):
+    """A batch of the fixed density g by the stream rule: per block, one
+    sample_batch call on g's one coefficient row with rows * n draws."""
+
+    def draw(gen, size, n):
+        row = g.coeffs[np.newaxis, 1:]
+        heights = _block_heights(size, n)
+        return np.concatenate([sample_batch(row, h * n, gen).reshape(h, n) for _, h in heights])
+
+    return draw
+
+
+def _mixture_rule(theta_obs):
+    """A hypercube-mixture batch by the stream rule: every sign vector
+    first, then per block one sample_batch call on that block's rows."""
+
+    def draw(gen, size, n):
+        rows = gen.choice([-1.0, 1.0], size=(size, theta_obs.size)) * theta_obs
+        heights = _block_heights(size, n)
+        return np.concatenate([sample_batch(rows[s : s + h], n, gen) for s, h in heights])
+
+    return draw
+
+
+def _stream_q_hats(cfg, cell, n, k, draw=_whole_null):
+    """q_hat_k of every replication of a cell, drawn by the stream rule:
+    batch b from numpy's SeedSequence(seed, spawn_key=cell + (b,)), its
+    observations draw(gen, batch size, n) (by default a null cell's)."""
     starts = range(0, cfg.replications, harness._BATCH_SIZE)
     y = np.concatenate([
-        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(*cell, b)))
-        .random((min(harness._BATCH_SIZE, cfg.replications - start), n))
+        draw(np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(*cell, b))),
+             min(harness._BATCH_SIZE, cfg.replications - start), n)
         for b, start in enumerate(starts)
     ])
     return estimate_q_batch(y, cfg.noise_model(), k)
@@ -322,7 +364,7 @@ class TestRiskExperiment:
             (row,) = [r for r in rows if r["n"] == n and r["scenario"] == "null"]
             k = optimal_dim_est(cfg.smoothness_class(), cfg.noise_model(), n)
             assert row["k"] == k
-            assert row["risk"] == float(np.mean(_null_q_hats(cfg, (0, g), n, k) ** 2))
+            assert row["risk"] == float(np.mean(_stream_q_hats(cfg, (0, g), n, k) ** 2))
 
     @pytest.mark.parametrize(
         "size, n, heights",
@@ -338,6 +380,44 @@ class TestRiskExperiment:
         eps = NoiseModel.mild(1.0)
         fed = estimate_q_batch(harness._null_sampler(np.random.default_rng(21), size, n), eps, 5)
         assert np.array_equal(fed, estimate_q_batch(whole, eps, 5))
+
+    @pytest.mark.parametrize(
+        "size, n, heights",
+        [(128, 3000, [21] * 6 + [2]), (3, 2 ** 16 + 3, [1, 1, 1]), (5, 64, [5])],
+        ids=["partial-last-block", "one-row-blocks", "one-block"],
+    )
+    @pytest.mark.parametrize("kind", ["fixed-density", "mixture"])
+    def test_non_null_sampler_blocks_follow_stream_rule(self, kind, size, n, heights):
+        if kind == "fixed-density":
+            g = FourierDensity.from_tail([0.2, 0.1j, 0.0, 0.05 * np.exp(2j)])
+            sampler, rule = harness._fixed_density_sampler(g), _fixed_density_rule(g)
+        else:
+            theta_obs = np.array([0.1, 0.05, 0.0, 0.02])
+            sampler, rule = harness._mixture_sampler(theta_obs), _mixture_rule(theta_obs)
+        # the blocks are views of one buffer, so each is copied before the next
+        blocks = [blk.copy() for blk in sampler(np.random.default_rng(21), size, n)]
+        assert [len(blk) for blk in blocks] == heights
+        whole = np.concatenate(blocks)
+        assert np.array_equal(whole, rule(np.random.default_rng(21), size, n))
+        eps = NoiseModel.mild(1.0)
+        fed = estimate_q_batch(sampler(np.random.default_rng(21), size, n), eps, 5)
+        assert np.array_equal(fed, estimate_q_batch(whole, eps, 5))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_boundary_rows_follow_stream_rule(self, threads):
+        # 300 replications end in a partial batch, and at n = 1024 a full
+        # batch is two kernel blocks; boundary is scenario 1
+        cfg = ExperimentConfig(n_grid=(64, 1024), replications=300, seed=13, threads=threads,
+                               scenarios=("null", "boundary"))
+        cls, eps = cfg.smoothness_class(), cfg.noise_model()
+        rows = run_risk_experiment(cfg).rows
+        for g, n in enumerate(cfg.n_grid):
+            (row,) = [r for r in rows if r["n"] == n and r["scenario"] == "boundary"]
+            k = optimal_dim_est(cls, eps, n)
+            f = harness._boundary_density(cls, k)
+            draw = _fixed_density_rule(observed_density(f, eps))
+            q_hat = _stream_q_hats(cfg, (1, g), n, k, draw)
+            assert row["risk"] == float(np.mean((q_hat - quadratic_functional(f)) ** 2))
 
     def test_two_point_scenario(self):
         base = dict(n_grid=(64, 256), replications=200, scenarios=("two_point",), seed=3)
@@ -422,9 +502,31 @@ class TestTestExperiment:
             rows = run_test_experiment(cfg).rows
         for g, (n, row) in enumerate(zip(cfg.n_grid, rows)):
             k = optimal_dim_est(cfg.smoothness_class(), eps, n)
-            q_hat = _null_q_hats(cfg, (0, g), n, k)
+            q_hat = _stream_q_hats(cfg, (0, g), n, k)
             assert 0 < row["type1"] < 1
             assert row["type1"] == float(np.mean(q_hat >= nu_k_sq(eps, n, k)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_type_two_follows_stream_rule(self, threads):
+        # as for type I, the threshold nu_k^2 stands in for the calibrated one;
+        # the ladder's one step, feasible at both n, is cell 1, and at
+        # n = 1024 a full batch is two kernel blocks
+        cfg = ExperimentConfig(n_grid=(64, 1024), replications=300, seed=13, threads=threads,
+                               a_ladder=(0.6,))
+        cls, eps = cfg.smoothness_class(), cfg.noise_model()
+        with mock.patch.object(
+            testing.TestCalibration, "threshold", lambda self, eps, n, k: nu_k_sq(eps, n, k)
+        ):
+            rows = run_test_experiment(cfg).rows
+        for g, n in enumerate(cfg.n_grid):
+            (row,) = [r for r in rows if r["n"] == n and r["A"] == 0.6]
+            k = optimal_dim_est(cls, eps, n)
+            fam = build_hypercube(cls, eps, n, cfg.alpha)
+            theta_obs = observed_density(fam.vertex(np.ones(fam.kappa)), eps).coeffs[1:].real
+            draw = _mixture_rule(theta_obs * (0.6 / np.sqrt(fam.a_lower_sq)))
+            q_hat = _stream_q_hats(cfg, (1, g), n, k, draw)
+            assert 0 < row["type2"] < 1
+            assert row["type2"] == float(np.mean(q_hat < nu_k_sq(eps, n, k)))
 
     def test_rho_star_sq_is_the_family_scale(self):
         # at a fixed k the column is still the rho*^2 that scales the
@@ -509,7 +611,7 @@ class TestScheduler:
         assert backward.keys() == forward.keys()
         for key, q_hat in forward.items():
             assert np.array_equal(backward[key], q_hat)
-        assert np.array_equal(forward[0, 1], _null_q_hats(cfg, (0, 1), 256, 5))
+        assert np.array_equal(forward[0, 1], _stream_q_hats(cfg, (0, 1), 256, 5))
 
     def test_queue_runs_largest_n_first(self, monkeypatch):
         # kappa* grows with n, so the k of each call tells its n

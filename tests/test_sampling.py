@@ -9,11 +9,33 @@ from circdeconv.errors import CertificationError, IngestError
 from circdeconv.fourier import FourierDensity, NoiseModel, l1_certified, observed_density
 from circdeconv.harness import ingest_circular_data
 from circdeconv.sampling import CircularSample, sample_batch
+from oracles import composition_draws
 
 
 def _draw(f: FourierDensity, n: int, gen: np.random.Generator) -> np.ndarray:
     """n draws from f: the one row of a sample_batch call."""
     return sample_batch(f.coeffs[np.newaxis, 1:], n, gen)[0]
+
+
+class _ScriptedGenerator:
+    """Stands in for np.random.Generator: the first random draw is the given
+    picks, every later one 0.5, and every integer draw 0, so each component
+    gives its own value x = (1/2 + c_j) / j mod 1."""
+
+    def __init__(self, picks):
+        self.picks = picks
+
+    def random(self, size=None, out=None):
+        vals = np.full(out.shape if out is not None else size, 0.5)
+        if self.picks is not None:
+            vals[...], self.picks = self.picks, None
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
+
+    def integers(self, low, high, size=None):
+        return np.zeros(np.shape(high) if size is None else size, dtype=np.int64)
 
 
 class TestCircularSample:
@@ -145,6 +167,61 @@ class TestSampleBatch:
         # each error e has E|e|^2 < 1 / n, so P(|e| > 0.015) ~ exp(-0.015^2 n) ~ 1e-5
         assert np.max(np.abs(emp - rows)) < 0.015
 
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_components_beyond_column_128(self, b):
+        # frequencies 1, 130 and 300: component indices past 127 and 255
+        tail = np.zeros(300, dtype=complex)
+        tail[[0, 129, 299]] = [0.1, 0.15j, 0.2 * np.exp(1j)]
+        rows = np.array([1.0, -1.0, 1.0])[:b, np.newaxis] * tail
+        y = sample_batch(rows, 100_000, np.random.default_rng(15))
+        for j in (1, 130, 300):
+            emp = np.exp(-2j * np.pi * j * y).mean(axis=1)
+            # as above, P(|e| > 0.015) ~ exp(-0.015^2 n) ~ 1e-10
+            assert np.max(np.abs(emp - rows[:, j - 1])) < 0.015
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.3 * np.exp(2j)]],
+            [[0.1, 0.0, 0.15j, 0.05 * np.exp(-1j)]],
+            [[0.1, 0.15j, 0.05], [-0.1, -0.15j, 0.05], [0.0, 0.0, 0.0], [0.1, 0.15j, -0.05]],
+            [[0.2, 0.0], [0.0, 0.3j], [0.05, 0.05]],
+            [[0.0, 0.0, 0.0]],
+            [[], []],
+        ],
+        ids=["one-row-one-column", "one-row-zero-column", "sign-flipped-rows", "unequal-rows",
+             "one-zero-row", "no-columns"],
+    )
+    def test_draws_follow_documented_order(self, rows):
+        # the stream is part of a report's identity, so its order is pinned:
+        # the same generator state gives the same bytes as the oracle. A row
+        # with no nonzero coefficient keeps every uniform, alone or among
+        # others (the sign-flipped rows hold one)
+        y = sample_batch(np.array(rows), 3000, np.random.default_rng(17))
+        assert np.array_equal(y, composition_draws(rows, 3000, np.random.default_rng(17)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.125, 0.125, 0.25]], [[0.125, 0.125, 0.25], [0.25, 0.0, 0.125]]],
+        ids=["one-row", "two-rows"],
+    )
+    def test_pick_on_a_cumulative_weight_takes_the_next_component(self, rows):
+        # the cumulative weights are dyadic, so the scripted picks hit them
+        # exactly: component j takes upper_{j-1} <= pick < upper_j, skipping
+        # the zero-weight column, and a pick at the total is uniform
+        picks = np.tile([0.0, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0 - 2 ** -53], (len(rows), 1))
+        y = sample_batch(np.array(rows), picks.shape[1], _ScriptedGenerator(picks))
+        assert np.array_equal(y, composition_draws(rows, picks.shape[1], _ScriptedGenerator(picks)))
+
+    def test_out_is_filled_and_returned(self):
+        rows = np.array([[0.2, 0.1j], [-0.2, 0.1j]])
+        out = np.empty((2, 50))
+        assert sample_batch(rows, 50, np.random.default_rng(16), out=out) is out
+        assert np.array_equal(out, sample_batch(rows, 50, np.random.default_rng(16)))
+        for bad in (np.empty((2, 49)), np.empty((2, 50), dtype=np.float32), np.empty((50, 2)).T):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                sample_batch(rows, 50, np.random.default_rng(16), out=bad)
 
 class TestSampleModel:
     """The harness draws Y from g = observed_density(f, eps); these check
