@@ -31,8 +31,10 @@ __all__ = [
 
 # observations per row block of empirical_coeffs_batch: its two complex and
 # two 8-byte buffers, 48 B per observation (3 MiB), stay in cache; a longer
-# row gets two complex buffers of its own length and 8-byte ones of this
+# row is cut into pieces of at most _PIECE_ELEMS, which share buffers of
+# that size
 _BLOCK_ELEMS = 1 << 16
+_PIECE_ELEMS = 1 << 15
 
 # the unit phase exp(-2 pi i y) is read from two tables at y 2^20 = i + r,
 # i an integer: C[m] = exp(-2 pi i m / 2^10), indexed by the high ten bits
@@ -101,14 +103,47 @@ def block_rows(n: int) -> int:
 
 def _work_buffers(rows: int, n: int) -> tuple:
     """The four work buffers of empirical_coeffs_batch for blocks of up to
-    rows rows of n observations: two complex ones of (rows, n) for the
-    phase and its powers, and a float64 and an int64 one for the phase's
-    argument reduction. The phase is elementwise, so a row longer than a
-    block takes it in column chunks of _BLOCK_ELEMS, and these two need
-    no more than a block."""
-    base = np.empty((rows, n), dtype=complex)
-    t = np.empty((rows, min(n, _BLOCK_ELEMS)))
-    return base, np.empty_like(base), t, np.empty(t.shape, dtype=np.int64)
+    rows rows of n observations: two complex ones for the phase and its
+    powers, and a float64 and an int64 one for the phase's argument
+    reduction, each of (rows, n). A row longer than a block is taken a
+    piece at a time, so for n > _BLOCK_ELEMS they are of (1, _PIECE_ELEMS)."""
+    shape = (rows, n) if n <= _BLOCK_ELEMS else (1, _PIECE_ELEMS)
+    base = np.empty(shape, dtype=complex)
+    t = np.empty(shape)
+    return base, np.empty_like(base), t, np.empty(shape, dtype=np.int64)
+
+
+def _power_sums(y: np.ndarray, sums: np.ndarray, work: tuple) -> None:
+    """Write the row sums of exp(-2 pi i j y), j = 1..j_max, of an (m, w)
+    y into the (m, j_max) sums, through work buffers of at least (m, w)."""
+    m, w = y.shape
+    base, power, t, i = (a[:m, :w] for a in work)
+    _unit_phase(y, base, power, t, i)
+    np.add.reduce(base, axis=1, out=sums[:, 0])
+    for j in range(1, sums.shape[1]):
+        np.multiply(power if j > 1 else base, base, out=power)
+        np.add.reduce(power, axis=1, out=sums[:, j])
+
+
+def _tree_sums(y: np.ndarray, sums: np.ndarray, work: tuple) -> None:
+    """_power_sums of a (1, n) y of any length, added up as numpy adds up
+    a whole contiguous row, so each sum is np.add.reduce's bit for bit.
+
+    numpy sums a row of m complex entries pairwise: a node of m > 64
+    entries is split after (m - m mod 8) / 2 of them and its two halves'
+    sums are added; the tree depends on m alone. So a row is cut at the
+    nodes of at most _PIECE_ELEMS entries, each piece is summed as a row of
+    its own and the two halves of every larger node are added in turn.
+    """
+    m = y.shape[1]
+    if m <= _PIECE_ELEMS:
+        _power_sums(y, sums, work)
+        return
+    half = (m - m % 8) // 2
+    right = np.empty_like(sums)
+    _tree_sums(y[:, :half], sums, work)
+    _tree_sums(y[:, half:], right, work)
+    sums += right
 
 
 def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None) -> np.ndarray:
@@ -123,10 +158,13 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
     block_rows(n) rows through the four buffers of _work_buffers: work,
     if given (buffers for at least min(B, block_rows(n)) rows at this n,
     which a caller reuses across calls), else ones allocated for this call.
+    A row longer than a block is taken in pieces of at most _PIECE_ELEMS
+    (_tree_sums), so the buffers stay the size of a block at any n.
     Each call owns its buffers while it runs, so callers in several
     threads each pass their own.
-    Every operation is elementwise or reduces one whole row, so each row is
-    bit-identical to evaluating the formula on the whole batch at once.
+    Every operation is elementwise or sums a row as np.add.reduce sums it
+    whole, so each row is bit-identical to evaluating the formula on the
+    whole batch at once.
     """
     if y.ndim != 2 or y.shape[1] < 1 or j_max < 1:
         raise ValueError(
@@ -134,28 +172,18 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
         )
     b, n = y.shape
     r = block_rows(n)
-    base, power, t, i = work if work is not None else _work_buffers(min(r, b), n)
-    cols = t.shape[1]
+    work = work if work is not None else _work_buffers(min(r, b), n)
+    sums = _power_sums if n <= _BLOCK_ELEMS else _tree_sums
     out = np.empty((b, j_max), dtype=complex)
     for start in range(0, b, r):
         blk = y[start : start + r]
-        rows = out[start : start + r]
-        m = blk.shape[0]
         # min and max are NaN if any observation is
         if not (-_PHASE_LIMIT < blk.min() and blk.max() < _PHASE_LIMIT):
             raise ValueError(
                 "every observation must be finite with |y| < 2^32, "
                 f"got values in [{blk.min()}, {blk.max()}]"
             )
-        bs, ps = base[:m], power[:m]
-        for c in range(0, n, cols):
-            w = min(cols, n - c)
-            cs = slice(c, c + w)
-            _unit_phase(blk[:, cs], bs[:, cs], ps[:, cs], t[:m, :w], i[:m, :w])
-        np.add.reduce(bs, axis=1, out=rows[:, 0])
-        for j in range(1, j_max):
-            np.multiply(ps if j > 1 else bs, bs, out=ps)
-            np.add.reduce(ps, axis=1, out=rows[:, j])
+        sums(blk, out[start : start + r], work)
     # each row sum of a power divided by n, as mean(axis=1) divides it
     out /= n
     return out

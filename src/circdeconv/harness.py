@@ -19,7 +19,6 @@ import io
 import json
 import math
 import numbers
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, asdict
 from functools import partial
@@ -506,8 +505,22 @@ _ASCII_ZEROS = ord("0") * _ONES
 _LOW7 = 0x7F * _ONES
 _DOTS = (ord(".") ^ ord("0")) * _ONES
 _ABOVE_NINE = (0x7F - 9) * _ONES
-# _LOW_BYTES[i] sets the i low bytes of a word
-_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=np.uint64)
+_ALL_BYTES = np.uint64(2 ** 64 - 1)
+# _KEEP[i, n] clears the bytes before an n-byte line (n <= 24) in word i of
+# the three that end at its newline, and keeps the rest
+_KEEP = np.array(
+    [[~((1 << 8 * min(max(24 - n - 8 * i, 0), 8)) - 1) % 2 ** 64 for n in range(25)]
+     for i in range(3)],
+    dtype=np.uint64,
+)
+
+# the class of each byte, for the lines the bulk pass refuses: 0 ASCII
+# whitespace (str.isspace), 1 any other ASCII byte but a digit, 2 an ASCII
+# digit or a byte of a non-ASCII character
+_BYTE_CLASS = np.ones(256, dtype=np.uint8)
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = 0
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 2
+_BYTE_CLASS[128:] = 2
 
 
 def _split(x):
@@ -533,11 +546,13 @@ def _text_blocks(fh):
         yield text if text[-1] == "\n" else text + "\n"
 
 
-def _words(raw: bytes, ends: np.ndarray, count: int) -> list:
+def _words(raw: bytes, ends: np.ndarray, count: int) -> np.ndarray:
     """The count little-endian 8-byte words of raw that end at each index
-    of ends, first word first; raw must hold 8 * count bytes before each."""
-    view = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    return [view[ends - 8 * i] for i in range(count, 0, -1)]
+    of ends, as a (lines, count) array, first word first; raw must hold
+    8 * count bytes before each. They are gathered as one record of
+    8 * count bytes per line, which numpy copies whole."""
+    records = np.ndarray((len(raw) - 8 * count + 1,), f"V{8 * count}", raw, strides=(1,))
+    return records[ends - 8 * count].view("<u8").reshape(-1, count)
 
 
 def _byte_count(x: np.ndarray) -> np.ndarray:
@@ -553,9 +568,9 @@ def _eight_digits(x: np.ndarray) -> np.ndarray:
     return ((x & 0x0000FFFF0000FFFF) * (10000 * 2 ** 32 + 1)) >> 32
 
 
-def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
-    """float() of the lines of raw that end at ends, where it can be shown
-    exactly in bulk, and a mask of those lines.
+def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """float() of each line of raw that ends at ends where it can be shown
+    exactly in bulk, NaN at every other line.
 
     A line qualifies if it has at most 24 bytes, all ASCII digits but one
     '.' with 1 to 19 digits after it, and its digits read as an integer
@@ -567,11 +582,12 @@ def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
     midpoint. Such lines, and every line of another form, are left out.
     """
     ok = length <= 24
-    words, dots, fraction, prev = [], 0, 0, 0
-    after = np.zeros(ends.shape, dtype=np.uint64)
-    for i, w in enumerate(_words(raw, ends, 3)):
+    # a longer line is refused, so it may keep the masks of 24 bytes
+    at = np.minimum(length, 24)
+    words, dots, fraction, prev, after = [], 0, 0, 0, 0
+    for i, w in enumerate(_words(raw, ends, 3).T):
         # digit values 0..9, '.' as 0x1E; the bytes before the line are 0
-        x = (w ^ _ASCII_ZEROS) & ~_LOW_BYTES[np.clip(24 - 8 * i - length, 0, 8)]
+        x = (w ^ _ASCII_ZEROS) & _KEEP[i][at]
         y = x ^ _DOTS
         # the high bit of each '.' (a zero byte of y), then of each byte above 9
         dot = ~(((y & _LOW7) + _LOW7) | y | _LOW7)
@@ -581,7 +597,7 @@ def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
         # the digits after the '.': the bytes above it, and all of a later word
         keep = ~((dot << 8) - 1) | after
         fraction = fraction + _byte_count(keep & _ONES)
-        after[dot != 0] = _LOW_BYTES[8]
+        after = (dots != 0) * _ALL_BYTES
         # drop the '.': the bytes below it move up one, the top byte of the
         # word before coming in at the bottom
         shifted = (x << 8) | (prev >> 56)
@@ -604,47 +620,54 @@ def _decimal_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
     # (M - q1 * 10^f) / 10^f; m_hi - prod is exact (Sterbenz)
     q2 = (((m_hi - prod) - prod_err) + m_lo) / p
     value = q1 + q2
-    # how far q1 + q2 lies from value, against half the smaller gap around it
+    # how far q1 + q2 lies from value, against half the smaller gap around
+    # it; value >= 0, so the double below it has the integer view less one
+    # (NaN below 0, which no comparison takes)
     off = (q1 - value) + q2
-    ok &= np.abs(off) < (value - np.nextafter(value, 0.0)) * (0.5 - 2.0 ** -41)
-    return value, ok
+    below = (value.view(np.int64) - 1).view(float)
+    ok &= np.abs(off) < (value - below) * (0.5 - 2.0 ** -41)
+    value[~ok] = np.nan
+    return value
 
 
-def _hhmm_lines(raw: bytes, ends: np.ndarray, length: np.ndarray):
+def _hhmm_lines(raw: bytes, ends: np.ndarray, length: np.ndarray) -> np.ndarray:
     """_parse_hhmm's value of each line of raw that ends at ends and is
-    "DD:DD", 5 bytes, with the hour below 24 and the minute below 60; and
-    a mask of those lines."""
-    (w,) = _words(raw, ends, 1)
+    "DD:DD", 5 bytes, with the hour below 24 and the minute below 60; NaN
+    at every other line."""
+    w = _words(raw, ends, 1)[:, 0]
     # a 5-byte line is the word's bytes 3..7; digit values 0..9, ':' as 10
     h1, h0, colon, m1, m0 = (((w >> 8 * j) & 0xFF) ^ ord("0") for j in range(3, 8))
     hh, mm = h1 * 10 + h0, m1 * 10 + m0
     ok = (length == 5) & (colon == ord(":") ^ ord("0")) & (hh < 24) & (mm < 60)
     for digit in (h1, h0, m1, m0):
         ok &= digit <= 9
-    return (hh * 60 + mm) / 1440.0, ok
+    return np.where(ok, (hh * 60 + mm) / 1440.0, np.nan)
 
 
-def _convert_block(lines: list, convert):
-    """convert applied to the non-blank lines of a block of raw lines, in
-    line order, with NaN for each line it refuses. Returns the values and
-    the line index of each non-blank line.
+def _line_classes(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The highest _BYTE_CLASS among the bytes arr[starts[i] : ends[i] + 1]
+    of each line, its newline included; at least one line."""
+    size = ends - starts + 1
+    first = np.cumsum(size) - size
+    at = np.arange(first[-1] + size[-1]) + np.repeat(starts - first, size)
+    return np.maximum.reduceat(_BYTE_CLASS[arr[at]], first)
 
-    Blank lines are set aside first, since each would cost the bulk map
-    an exception. A line that convert refuses is retried on its stripped
-    text, since str.strip() removes the separators U+001C to U+001F and
-    float() does not. The bulk map resumes after the line, so the
-    exception cost is paid per refused line only.
+
+def _convert_block(lines: list, convert) -> list:
+    """convert applied to each of a list of lines, NaN for each line it
+    refuses.
+
+    A line that convert refuses is retried on its stripped text, since
+    str.strip() removes the separators U+001C to U+001F and float() does
+    not. The bulk map resumes after the line, so the exception cost is
+    paid per refused line only.
     """
-    kept = range(len(lines))
-    if any(map(str.isspace, lines)):
-        kept = [i for i, line in enumerate(lines) if not line.isspace()]
-        lines = [lines[i] for i in kept]
     values = []
     it = map(convert, lines)
     while True:
         try:
             values.extend(it)
-            return values, kept
+            return values
         except ValueError:
             # extend keeps the values appended before the refused line
             try:
@@ -660,12 +683,13 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     both fields unsigned ASCII digits), "degrees" ([0, 360)). The file is
     parsed as it is read, a block of text at a time, with the values and
     messages of the per-line parsers in DATA_FORMATS: a bulk pass takes
-    the lines whose value it can show to be exactly the parser's, and the
-    parser reads the rest one at a time. Blank lines are skipped but keep
-    their line numbers; more than 1% failing non-blank lines aborts,
-    quoting the first 20. An unknown format raises ValueError before the
-    file is opened; a file that cannot be read or decoded raises
-    IngestError.
+    the lines whose value it can show to be exactly the parser's, ASCII
+    lines without a digit are refused unread, since no parser takes them,
+    and the parser reads the rest one at a time. Blank lines are skipped
+    but keep their line numbers; more than 1% failing non-blank lines
+    aborts, quoting the first 20. An unknown format raises ValueError
+    before the file is opened; a file that cannot be read or decoded
+    raises IngestError.
     """
     parse = DATA_FORMATS.get(fmt)
     if parse is None:
@@ -674,44 +698,57 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     # a fraction of a day, so its period is 1
     convert, period = (float, _PERIODS[fmt]) if fmt in _PERIODS else (parse, 1.0)
     bulk = _decimal_lines if fmt in _PERIODS else _hhmm_lines
-    out, failures, total, pos = array("d"), [], 0, 0
+    blocks, failures, total, pos = [], [], 0, 0
     try:
         with open(path) as fh:
             for text in _text_blocks(fh):
                 # newlines before the text, so that 24 bytes precede every line end
                 raw = b"\n" * 24 + text.encode("utf-8", "surrogatepass")
-                newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))[23:]
+                arr = np.frombuffer(raw, np.uint8)
+                newlines = np.flatnonzero(arr == ord("\n"))[23:]
                 starts, ends = newlines[:-1] + 1, newlines[1:]
-                values, kept = bulk(raw, ends, ends - starts)
+                values = bulk(raw, ends, ends - starts)
 
                 def line(i):
                     return raw[starts[i] : ends[i] + 1].decode("utf-8", "surrogatepass")
 
-                rest = np.flatnonzero(~kept)
-                rest_values, rest_kept = _convert_block([line(i) for i in rest], convert)
-                values[rest[rest_kept]] = rest_values
-                kept[rest[rest_kept]] = True
-                at = np.flatnonzero(kept)
-                total += at.size
-                block = values[at]
+                # of the lines the bulk pass leaves out, ASCII whitespace is
+                # blank and other ASCII text without a digit stays NaN: float()
+                # refuses it or reads nan or inf, and an hhmm time needs digits
+                blank = np.zeros(ends.size, dtype=bool)
+                rest = np.flatnonzero(np.isnan(values))
+                if rest.size:
+                    classes = _line_classes(arr, starts[rest], ends[rest])
+                    blank[rest[classes == 0]] = True
+                    read = rest[classes == 2]
+                    lines = [line(i) for i in read]
+                    values[read] = _convert_block(lines, convert)
+                    refused = np.flatnonzero(np.isnan(values[read]))
+                    blank[read[refused]] = [lines[j].isspace() for j in refused]
                 # a refused line is NaN, so this one check catches every bad line
-                ok = (block >= 0.0) & (block < period)
-                for i in at[np.flatnonzero(~ok)[: 20 - len(failures)]]:
+                ok = (values >= 0.0) & (values < period)
+                block = values[ok]
+                # v / 1 is v, so a unit value is not divided
+                blocks.append(block / period if period != 1.0 else block)
+                bad = np.flatnonzero(~ok)
+                bad = bad[~blank[bad]]
+                total += block.size + bad.size
+                for i in bad[: 20 - len(failures)]:
                     try:
                         parse(line(i).strip())
                     except ValueError as e:
                         failures.append((pos + i + 1, str(e)))
-                out.frombytes((block[ok] / period).tobytes())
                 pos += ends.size
     except (OSError, UnicodeDecodeError) as e:
         raise IngestError(f"cannot read {path}: {e}") from e
     if not total:
         raise IngestError(f"{path} contains no data")
-    bad = total - len(out)
+    values = np.concatenate(blocks)
+    bad = total - values.size
     if bad > 0.01 * total:
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in failures)
         raise IngestError(f"{bad}/{total} lines failed to parse: {detail}")
-    return CircularSample(np.frombuffer(out))
+    return CircularSample(values)
 
 
 # -- report persistence -------------------------------------------------

@@ -73,8 +73,12 @@ class TestEmpiricalCoeffs:
 
     @pytest.mark.parametrize(
         "shape",
-        [(5, 2 ** 16 + 3), (37, 4096), (1, 10)],
-        ids=["one-row-blocks", "partial-last-block", "single-row"],
+        # n = 1 mod 2^16: cut into 2^16-entry chunks, a row would end in a
+        # one-entry chunk, whose in-place complex multiply numpy rounds
+        # differently from its vector loop
+        [(5, 2 ** 16 + 3), (3, 2 ** 16 + 1), (3, 3 * 2 ** 16 + 1), (37, 4096), (1, 10)],
+        ids=["one-row-blocks", "rows-in-pieces", "n-1-mod-2^16", "partial-last-block",
+             "single-row"],
     )
     def test_blocked_matches_whole_batch(self, shape):
         y = np.random.default_rng(3).random(shape)
@@ -106,6 +110,34 @@ class TestEmpiricalCoeffs:
             tracemalloc.stop()
         # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize(
+        "n", [2 ** 15, 2 ** 15 + 1, 2 ** 16 - 1, 2 ** 16 + 1, 300_001, 999_983, 10 ** 6]
+    )
+    def test_tree_pieces_match_whole_row_sum(self, n):
+        # numpy's pairwise summation of the whole row, rebuilt from pieces
+        # of at most 2^15 entries cut at the nodes of its tree
+        y = np.random.default_rng(n).random((1, n))
+        sums = np.empty((1, 3), dtype=complex)
+        estimation._tree_sums(y, sums, estimation._work_buffers(1, n))
+        base = _phase(y)
+        power = base.copy()
+        for j in range(3):
+            if j:
+                power *= base
+            assert np.array_equal(sums[:, j], np.add.reduce(power, axis=1))
+
+    def test_long_row_allocation_bounded_by_piece(self):
+        y = np.random.default_rng(6).random((1, 10 ** 6))
+        tracemalloc.start()
+        try:
+            empirical_coeffs_batch(y, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two complex buffers of the whole row are 32 MiB; the buffers of a
+        # 2^15-entry piece are 1.5 MiB
+        assert peak < 4 * 2 ** 20
 
     def test_phase_allocates_no_block_temporary(self):
         y = np.random.default_rng(4).random((32, 2 ** 16))

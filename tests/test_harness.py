@@ -183,15 +183,17 @@ _GOOD_LINE = {
     "hhmm": st.builds("{:02d}:{:02d}".format, st.integers(0, 23), st.integers(0, 59)),
 }
 # out of range, unparsable or blank in some format; the padding "\x1c" and
-# "\x1f" is stripped by str.strip() but refused by float(). The rest lie on
+# "\x1f" is stripped by str.strip() but refused by float(), and a line of
+# "\x1c" alone is blank. ASCII text without a digit ("nan", " Infinity ",
+# "n/a") never reaches float(), while non-ASCII digits do. The rest lie on
 # either side of a limit of the bulk pass: no digit before or after the
 # '.', two dots, an exponent, non-ASCII digits, 19 and 20 significant
 # digits (M below and above 2^62), M = 10 * 2^64 + 3, 24 and 25 bytes,
 # a minute of 60 and a valid time after a byte too many
 _ODD_LINE = st.sampled_from(
     ["1.5", "-0.25", "-0.0", "360", "359.5", "24:00", "7:5", "12:30", "12:-0", "n/a", "0x1",
-     "1_0", "nan", "inf", "-inf", "1e400", "0.5.5", "", " ", ".5", "5.", ".", "1.2.3", "1e-05",
-     "\u0660.\u0665", "0.4611686018427387903", "0.46116860184273879031",
+     "1_0", "nan", "inf", "-inf", " Infinity ", "\x1c", "1e400", "0.5.5", "", " ", ".5", "5.",
+     ".", "1.2.3", "1e-05", "\u0660.\u0665", "0.4611686018427387903", "0.46116860184273879031",
      "18446744073709551616.3", "0" * 19 + ".0625", "0" * 20 + ".0625",
      "-" + "0" * 19 + ".0625", "23:59", "12:60", "x12:30"]
 )
@@ -791,6 +793,26 @@ class TestIngest:
             assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
         # the bulk pass took most lines, and float() at least the 20-digit ones
         assert sum(d == 20 for d in map(_significant_digits, texts)) <= len(per_line) < len(xs) / 2
+
+    @pytest.mark.parametrize("fmt", ["unit", "degrees", "hhmm"])
+    def test_lines_without_digits_skip_the_per_line_parser(self, tmp_path, fmt):
+        # ASCII lines with no digit are refused in bulk; blank ones are
+        # skipped, and non-ASCII ones still go to the per-line parser
+        good = {"unit": "0.5", "degrees": "180.0", "hhmm": "12:00"}[fmt]
+        odd = ["nan", "-inf", " Infinity ", "n/a", "\x1c", " ", "\u3000", "\u0660.\u0665"]
+        p = tmp_path / "d.txt"
+        for lines in ([good] * 1000 + odd, [good] * 10 + odd):
+            p.write_text("\n".join(lines) + "\n")
+            per_line = []
+            convert = harness._convert_block
+
+            def counted(block, parse):
+                per_line.extend(block)
+                return convert(block, parse)
+
+            with mock.patch.object(harness, "_convert_block", counted):
+                assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
+            assert per_line == ["\u3000\n", "\u0660.\u0665\n"]
 
     def test_hhmm_bulk_pass_matches_per_line_loop(self, tmp_path):
         gen = np.random.default_rng(8)
