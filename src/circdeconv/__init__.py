@@ -35,9 +35,12 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     emit_report,
-    ingest_circular_data,
     run_risk_experiment,
     run_test_experiment,
+)
+from .ingest import (
+    CircularSample,
+    ingest_circular_data,
 )
 from .lowerbounds import (
     HypercubeFamily,
@@ -68,7 +71,6 @@ from .rates import (
     theoretical_testing_radius,
 )
 from .sampling import (
-    CircularSample,
     sample_batch,
 )
 from .testing import (

@@ -26,14 +26,13 @@ import numpy as np
 from .errors import CircdeconvError, ConditionViolation
 from .estimation import estimate_q
 from .harness import (
-    DATA_FORMATS,
     ExperimentConfig,
     emit_report,
-    ingest_circular_data,
     resolve_k,
     run_risk_experiment,
     run_test_experiment,
 )
+from .ingest import DATA_FORMATS, ingest_circular_data
 from .lowerbounds import build_hypercube, build_two_point
 from .rates import (
     fit_rate,

@@ -22,7 +22,6 @@ import numpy as np
 from .fourier import NoiseModel
 
 __all__ = [
-    "block_rows",
     "empirical_coeffs_batch",
     "estimate_q",
     "estimate_q_batch",
@@ -95,7 +94,7 @@ def _unit_phase(y, base, scratch, t, i) -> None:
     base *= scratch
 
 
-def block_rows(n: int) -> int:
+def _block_rows(n: int) -> int:
     """Rows per block of empirical_coeffs_batch at n observations per row:
     about _BLOCK_ELEMS observations, and at least one row."""
     return max(1, _BLOCK_ELEMS // max(n, 1))
@@ -155,8 +154,8 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
     accumulated cumulatively, costing O(B n j_max) with no transcendental
     call. Every observation must be finite with |Y| < 2^32; any other value
     is refused with a ValueError. Rows are processed in blocks of
-    block_rows(n) rows through the four buffers of _work_buffers: work,
-    if given (buffers for at least min(B, block_rows(n)) rows at this n,
+    _block_rows(n) rows through the four buffers of _work_buffers: work,
+    if given (buffers for at least min(B, _block_rows(n)) rows at this n,
     which a caller reuses across calls), else ones allocated for this call.
     A row longer than a block is taken in pieces of at most _PIECE_ELEMS
     (_tree_sums), so the buffers stay the size of a block at any n.
@@ -171,7 +170,7 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
             f"need a (B, n) y with n >= 1 and j_max >= 1, got y.shape {y.shape}, j_max {j_max}"
         )
     b, n = y.shape
-    r = block_rows(n)
+    r = _block_rows(n)
     work = work if work is not None else _work_buffers(min(r, b), n)
     sums = _power_sums if n <= _BLOCK_ELEMS else _tree_sums
     out = np.empty((b, j_max), dtype=complex)
@@ -216,7 +215,7 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
     that the iterable overwrites for the next one. The kernel's work
     buffers are allocated on the first block and reused by the later ones,
     reallocated only for a block taller than any before it (up to
-    block_rows(n) rows). Every block must be a
+    _block_rows(n) rows). Every block must be a
     2-d ndarray with the first block's n, since the bias correction uses
     one n; an empty iterable is refused too, and so is a k at which some
     weight |eps_j|^-2 is not finite (|eps_j| underflows), before any block
@@ -239,7 +238,7 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
         n = blk.shape[-1]
         if k < 1 or n < 2:
             raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
-        rows = min(block_rows(n), blk.shape[0])
+        rows = min(_block_rows(n), blk.shape[0])
         if work is None or len(work[0]) < rows:
             work = _work_buffers(rows, n)
         coeffs.append(empirical_coeffs_batch(blk, k, work))

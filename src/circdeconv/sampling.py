@@ -18,40 +18,14 @@ its own, so parallel callers give each worker its own generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CertificationError
 from .fourier import l1_certified
 
 __all__ = [
-    "CircularSample",
     "sample_batch",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CircularSample:
-    """n observations in [0, 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("sample values must be a 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample values must be finite")
-        if v.size and (v.min() < 0.0 or v.max() >= 1.0):
-            raise ValueError("sample values must lie in [0, 1)")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def _sine_squared(gen: np.random.Generator, size: int) -> np.ndarray:

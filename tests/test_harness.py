@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circdeconv
-from circdeconv import cli, harness, testing
-from circdeconv.estimation import block_rows, estimate_q_batch
+from circdeconv import cli, estimation, harness, ingest, testing
+from circdeconv.estimation import estimate_q_batch
 from circdeconv.errors import ConditionViolation, IngestError, InvalidDensityError
 from circdeconv.fourier import (
     FourierDensity,
@@ -27,17 +27,16 @@ from circdeconv.fourier import (
     quadratic_functional,
 )
 from circdeconv.harness import (
-    DATA_FORMATS,
     ExperimentConfig,
     ExperimentReport,
     emit_report,
-    ingest_circular_data,
     run_risk_experiment,
     run_test_experiment,
 )
+from circdeconv.ingest import DATA_FORMATS, CircularSample, ingest_circular_data
 from circdeconv.lowerbounds import build_hypercube, build_two_point
 from circdeconv.rates import nu_k_sq, optimal_dim_est, optimal_two_point_freq
-from circdeconv.sampling import CircularSample, sample_batch
+from circdeconv.sampling import sample_batch
 
 SMALL = dict(n_grid=(64,), replications=200, seed=7)
 
@@ -87,8 +86,8 @@ def _whole_null(gen, size, n):
 
 
 def _block_heights(size, n):
-    """(first row, rows) of each kernel block of a batch of size rows."""
-    r = block_rows(n)
+    """(first row, rows) of each stream block of a batch of size rows."""
+    r = max(1, harness._STREAM_ELEMS // n)
     return [(start, min(r, size - start)) for start in range(0, size, r)]
 
 
@@ -132,7 +131,7 @@ def _stream_q_hats(cfg, cell, n, k, draw=_whole_null):
 def _per_line_ingest(path, fmt):
     """Ingestion one line at a time through DATA_FORMATS: the reference
     that the block parse must reproduce bit for bit."""
-    parse = DATA_FORMATS[fmt]
+    parse = DATA_FORMATS[fmt].parse
     values, failures, total = [], [], 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -420,6 +419,16 @@ class TestRiskExperiment:
             draw = _fixed_density_rule(observed_density(f, eps))
             q_hat = _stream_q_hats(cfg, (1, g), n, k, draw)
             assert row["risk"] == float(np.mean((q_hat - quadratic_functional(f)) ** 2))
+
+    @pytest.mark.parametrize("block_elems", [2 ** 15, 2 ** 14])
+    def test_kernel_block_size_moves_no_report(self, block_elems):
+        # the kernel's cache-sized blocks are not the stream's: a smaller
+        # one splits each 16-row stream block at n = 4096, but no draw moves
+        cfg = ExperimentConfig(n_grid=(4096,), replications=32, seed=3,
+                               scenarios=("null", "two_point", "boundary"))
+        expected = emit_report(run_risk_experiment(cfg))
+        with mock.patch.object(estimation, "_BLOCK_ELEMS", block_elems):
+            assert emit_report(run_risk_experiment(cfg)) == expected
 
     def test_two_point_scenario(self):
         base = dict(n_grid=(64, 256), replications=200, scenarios=("two_point",), seed=3)
@@ -735,6 +744,23 @@ class TestIngest:
         # peak near 3 MiB; a list of the file's lines would add about 15 MiB
         assert peak < 8 * 2 ** 20
 
+    def test_joined_values_not_copied_again(self, tmp_path):
+        p = tmp_path / "d.txt"
+        values = np.random.default_rng(4).random(400_000)
+        p.write_text("\n".join(repr(v) for v in values.tolist()) + "\n")
+        tracemalloc.start()
+        try:
+            s = ingest_circular_data(p, "unit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.values, values)
+        # read-only, and no other array's memory
+        assert not s.values.flags.writeable and s.values.base is None
+        # joining the blocks holds the values twice; a copy of the joined
+        # array would hold them three times
+        assert peak < 2.5 * values.nbytes
+
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(data=_data_files(), block_chars=st.sampled_from([1, 7, 64, 1 << 16]))
     def test_block_parse_matches_per_line_loop(self, tmp_path_factory, data, block_chars):
@@ -742,17 +768,17 @@ class TestIngest:
         p = tmp_path_factory.mktemp("ingest") / "d.txt"
         p.write_bytes(text.encode())
         # small blocks put block boundaries everywhere in a short file
-        with mock.patch.object(harness, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
             assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
 
     def test_failures_quoted_in_line_order_across_blocks(self, tmp_path):
         p = tmp_path / "d.txt"
         # equal-length lines, so that the block boundaries do not move
         # when a good line is replaced by a bad one
-        n = 4 * harness._BLOCK_CHARS // 6
+        n = 4 * ingest._BLOCK_CHARS // 6
         p.write_text("0.250\n" * n)
         with open(p) as fh:
-            sizes = [block.count("\n") for block in harness._text_blocks(fh)]
+            sizes = [block.count("\n") for block in ingest._text_blocks(fh)]
         assert len(sizes) >= 4
         b1, b2 = sizes[0], sizes[0] + sizes[1]
         # the last line of block 0, the first and last of block 1 and the
@@ -783,13 +809,13 @@ class TestIngest:
         p = tmp_path / "d.txt"
         p.write_text("\n".join(texts) + "\n")
         per_line = []
-        convert = harness._convert_block
+        convert = ingest._convert_block
 
         def counted(lines, parse):
             per_line.extend(lines)
             return convert(lines, parse)
 
-        with mock.patch.object(harness, "_convert_block", counted):
+        with mock.patch.object(ingest, "_convert_block", counted):
             assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
         # the bulk pass took most lines, and float() at least the 20-digit ones
         assert sum(d == 20 for d in map(_significant_digits, texts)) <= len(per_line) < len(xs) / 2
@@ -804,13 +830,13 @@ class TestIngest:
         for lines in ([good] * 1000 + odd, [good] * 10 + odd):
             p.write_text("\n".join(lines) + "\n")
             per_line = []
-            convert = harness._convert_block
+            convert = ingest._convert_block
 
             def counted(block, parse):
                 per_line.extend(block)
                 return convert(block, parse)
 
-            with mock.patch.object(harness, "_convert_block", counted):
+            with mock.patch.object(ingest, "_convert_block", counted):
                 assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
             assert per_line == ["\u3000\n", "\u0660.\u0665\n"]
 

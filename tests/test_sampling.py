@@ -7,8 +7,8 @@ from scipy import stats
 from circdeconv.cli import main as cli_main
 from circdeconv.errors import CertificationError, IngestError
 from circdeconv.fourier import FourierDensity, NoiseModel, l1_certified, observed_density
-from circdeconv.harness import ingest_circular_data
-from circdeconv.sampling import CircularSample, sample_batch
+from circdeconv.ingest import CircularSample, ingest_circular_data
+from circdeconv.sampling import sample_batch
 from oracles import composition_draws
 
 
@@ -54,6 +54,12 @@ class TestCircularSample:
         s = CircularSample(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             s.values[0] = 0.9
+
+    def test_values_copied(self):
+        given = np.array([0.1, 0.2])
+        s = CircularSample(given)
+        given[0] = 0.9
+        assert s.values[0] == 0.1 and not np.shares_memory(s.values, given)
 
 
 class TestSampleDensity:

@@ -40,8 +40,11 @@ def test_no_function_level_imports(path):
         ("lowerbounds", {"sampling", "estimation", "testing", "harness", "cli"}),
         ("estimation", {"sampling", "testing", "lowerbounds", "harness", "cli"}),
         ("testing", {"sampling", "lowerbounds", "harness", "cli"}),
+        # numpy, the stdlib and .errors only
+        ("ingest", {"fourier", "rates", "estimation", "sampling", "testing", "lowerbounds",
+                    "harness", "cli"}),
     ],
-    ids=["rates", "lowerbounds", "estimation", "testing"],
+    ids=["rates", "lowerbounds", "estimation", "testing", "ingest"],
 )
 def test_depends_on_no_analysis_module(module, forbidden):
     imported = set()
