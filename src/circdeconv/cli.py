@@ -140,11 +140,8 @@ def cmd_rates(args) -> int:
 def _load_config(args) -> ExperimentConfig:
     with open(args.config) as fh:
         d = json.load(fh)
-    if args.seed is not None:
-        d["seed"] = args.seed
-    if args.threads is not None:
-        d["threads"] = args.threads
-    return ExperimentConfig.from_json_dict(d)
+    flags = {"seed": args.seed, "threads": args.threads}
+    return ExperimentConfig.from_json_dict(d, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:

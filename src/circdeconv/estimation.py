@@ -28,12 +28,10 @@ __all__ = [
 ]
 
 
-# observations per row block of empirical_coeffs_batch: its two complex and
-# two 8-byte buffers, 48 B per observation (3 MiB), stay in cache; a longer
-# row is cut into pieces of at most _PIECE_ELEMS, which share buffers of
-# that size
-_BLOCK_ELEMS = 1 << 16
-_PIECE_ELEMS = 1 << 15
+# the most observations that a block of rows of empirical_coeffs_batch, or
+# a piece of a longer row, may hold: its two complex and two 8-byte work
+# buffers, 48 B per observation (1.5 MiB), stay in cache
+_BLOCK_ELEMS = 1 << 15
 
 # the unit phase exp(-2 pi i y) is read from two tables at y 2^20 = i + r,
 # i an integer: C[m] = exp(-2 pi i m / 2^10), indexed by the high ten bits
@@ -96,27 +94,27 @@ def _unit_phase(y, base, scratch, t, i) -> None:
 
 def _block_rows(n: int) -> int:
     """Rows per block of empirical_coeffs_batch at n observations per row:
-    about _BLOCK_ELEMS observations, and at least one row."""
-    return max(1, _BLOCK_ELEMS // max(n, 1))
+    as many as _BLOCK_ELEMS observations hold, and at least one row."""
+    return max(1, _BLOCK_ELEMS // n)
 
 
-def _work_buffers(rows: int, n: int) -> tuple:
-    """The four work buffers of empirical_coeffs_batch for blocks of up to
-    rows rows of n observations: two complex ones for the phase and its
-    powers, and a float64 and an int64 one for the phase's argument
-    reduction, each of (rows, n). A row longer than a block is taken a
-    piece at a time, so for n > _BLOCK_ELEMS they are of (1, _PIECE_ELEMS)."""
-    shape = (rows, n) if n <= _BLOCK_ELEMS else (1, _PIECE_ELEMS)
-    base = np.empty(shape, dtype=complex)
-    t = np.empty(shape)
-    return base, np.empty_like(base), t, np.empty(shape, dtype=np.int64)
+def _work_buffers() -> tuple:
+    """The four work buffers of empirical_coeffs_batch, each of
+    _BLOCK_ELEMS entries: two complex ones for the phase and its powers,
+    and a float64 and an int64 one for the phase's argument reduction.
+    They are views of one allocation: four separate ones ran slower end
+    to end."""
+    base, power, reals = np.empty((3, _BLOCK_ELEMS), dtype=complex)
+    t, i = reals.view(np.float64).reshape(2, _BLOCK_ELEMS)
+    return base, power, t, i.view(np.int64)
 
 
 def _power_sums(y: np.ndarray, sums: np.ndarray, work: tuple) -> None:
     """Write the row sums of exp(-2 pi i j y), j = 1..j_max, of an (m, w)
-    y into the (m, j_max) sums, through work buffers of at least (m, w)."""
+    y of at most _BLOCK_ELEMS entries into the (m, j_max) sums, through
+    the first m w entries of each work buffer, viewed as (m, w)."""
     m, w = y.shape
-    base, power, t, i = (a[:m, :w] for a in work)
+    base, power, t, i = (a[: m * w].reshape(m, w) for a in work)
     _unit_phase(y, base, power, t, i)
     np.add.reduce(base, axis=1, out=sums[:, 0])
     for j in range(1, sums.shape[1]):
@@ -125,17 +123,19 @@ def _power_sums(y: np.ndarray, sums: np.ndarray, work: tuple) -> None:
 
 
 def _tree_sums(y: np.ndarray, sums: np.ndarray, work: tuple) -> None:
-    """_power_sums of a (1, n) y of any length, added up as numpy adds up
-    a whole contiguous row, so each sum is np.add.reduce's bit for bit.
+    """_power_sums of a block of at most _block_rows(n) rows of any n,
+    each row added up as numpy adds up a whole contiguous row, so each sum
+    is np.add.reduce's bit for bit. Rows of at most _BLOCK_ELEMS go to
+    _power_sums whole; a longer row, alone in its block, is cut.
 
     numpy sums a row of m complex entries pairwise: a node of m > 64
     entries is split after (m - m mod 8) / 2 of them and its two halves'
     sums are added; the tree depends on m alone. So a row is cut at the
-    nodes of at most _PIECE_ELEMS entries, each piece is summed as a row of
+    nodes of at most _BLOCK_ELEMS entries, each piece is summed as a row of
     its own and the two halves of every larger node are added in turn.
     """
     m = y.shape[1]
-    if m <= _PIECE_ELEMS:
+    if m <= _BLOCK_ELEMS:
         _power_sums(y, sums, work)
         return
     half = (m - m % 8) // 2
@@ -154,11 +154,11 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
     accumulated cumulatively, costing O(B n j_max) with no transcendental
     call. Every observation must be finite with |Y| < 2^32; any other value
     is refused with a ValueError. Rows are processed in blocks of
-    _block_rows(n) rows through the four buffers of _work_buffers: work,
-    if given (buffers for at least min(B, _block_rows(n)) rows at this n,
-    which a caller reuses across calls), else ones allocated for this call.
-    A row longer than a block is taken in pieces of at most _PIECE_ELEMS
-    (_tree_sums), so the buffers stay the size of a block at any n.
+    _block_rows(n) rows, and a row longer than a block in pieces cut at
+    the nodes of numpy's summation tree (_tree_sums), so no block or
+    piece holds more than _BLOCK_ELEMS observations. All go through one
+    set of _work_buffers(), which serves any n: work, if given (a set
+    that a caller reuses across calls), else one allocated for this call.
     Each call owns its buffers while it runs, so callers in several
     threads each pass their own.
     Every operation is elementwise or sums a row as np.add.reduce sums it
@@ -171,8 +171,7 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
         )
     b, n = y.shape
     r = _block_rows(n)
-    work = work if work is not None else _work_buffers(min(r, b), n)
-    sums = _power_sums if n <= _BLOCK_ELEMS else _tree_sums
+    work = work if work is not None else _work_buffers()
     out = np.empty((b, j_max), dtype=complex)
     for start in range(0, b, r):
         blk = y[start : start + r]
@@ -182,7 +181,7 @@ def empirical_coeffs_batch(y: np.ndarray, j_max: int, work: tuple | None = None)
                 "every observation must be finite with |y| < 2^32, "
                 f"got values in [{blk.min()}, {blk.max()}]"
             )
-        sums(blk, out[start : start + r], work)
+        _tree_sums(blk, out[start : start + r], work)
     # each row sum of a power divided by n, as mean(axis=1) divides it
     out /= n
     return out
@@ -212,14 +211,12 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
 
     Each block goes through empirical_coeffs_batch as soon as it is
     taken, and is not read again, so a block may be a view of a buffer
-    that the iterable overwrites for the next one. The kernel's work
-    buffers are allocated on the first block and reused by the later ones,
-    reallocated only for a block taller than any before it (up to
-    _block_rows(n) rows). Every block must be a
-    2-d ndarray with the first block's n, since the bias correction uses
-    one n; an empty iterable is refused too, and so is a k at which some
-    weight |eps_j|^-2 is not finite (|eps_j| underflows), before any block
-    is taken.
+    that the iterable overwrites for the next one. One set of the
+    kernel's work buffers is allocated per call and serves every block.
+    Every block must be a 2-d ndarray with the first block's n, since the
+    bias correction uses one n; an empty iterable is refused too, and so
+    is a k at which some weight |eps_j|^-2 is not finite (|eps_j|
+    underflows), before any block is taken.
     """
     w = eps.modulus(np.arange(1, k + 1)) ** 2
     with np.errstate(divide="ignore", over="ignore"):
@@ -227,7 +224,7 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
     if infinite.size:
         j = int(infinite[0]) + 1
         raise ValueError(f"the weight |eps_j|^-2 of q_hat_k overflows at j = {j} (k = {k})")
-    coeffs, work = [], None
+    coeffs, work = [], _work_buffers()
     for blk in (y,) if isinstance(y, np.ndarray) else y:
         if not (isinstance(blk, np.ndarray) and blk.ndim == 2):
             accepted = "a 2-d ndarray or an iterable of 2-d ndarrays"
@@ -238,9 +235,6 @@ def estimate_q_batch(y, eps: NoiseModel, k: int) -> np.ndarray:
         n = blk.shape[-1]
         if k < 1 or n < 2:
             raise ValueError(f"estimator needs k >= 1 and n >= 2, got k = {k}, n = {n}")
-        rows = min(_block_rows(n), blk.shape[0])
-        if work is None or len(work[0]) < rows:
-            work = _work_buffers(rows, n)
         coeffs.append(empirical_coeffs_batch(blk, k, work))
     if not coeffs:
         raise ValueError("estimator needs at least one block of observations")

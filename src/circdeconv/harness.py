@@ -195,7 +195,12 @@ class ExperimentConfig:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_json_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """The config that the JSON object d describes, with overrides set
+        on top of its entries; anything but an object is refused first."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
+        d = {**d, **overrides}
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

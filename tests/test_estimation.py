@@ -75,10 +75,12 @@ class TestEmpiricalCoeffs:
         "shape",
         # n = 1 mod 2^16: cut into 2^16-entry chunks, a row would end in a
         # one-entry chunk, whose in-place complex multiply numpy rounds
-        # differently from its vector loop
-        [(5, 2 ** 16 + 3), (3, 2 ** 16 + 1), (3, 3 * 2 ** 16 + 1), (37, 4096), (1, 10)],
-        ids=["one-row-blocks", "rows-in-pieces", "n-1-mod-2^16", "partial-last-block",
-             "single-row"],
+        # differently from its vector loop; n = 2^16 is cut at its tree's
+        # root into two pieces of a block
+        [(5, 2 ** 16 + 3), (3, 2 ** 16 + 1), (3, 3 * 2 ** 16 + 1), (3, 2 ** 16), (37, 4096),
+         (1, 10)],
+        ids=["one-row-blocks", "rows-in-pieces", "n-1-mod-2^16", "two-piece-rows",
+             "partial-last-block", "single-row"],
     )
     def test_blocked_matches_whole_batch(self, shape):
         y = np.random.default_rng(3).random(shape)
@@ -108,24 +110,34 @@ class TestEmpiricalCoeffs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB
+        # the whole-batch formula holds two (32, 65536) complex arrays, 64 MiB;
+        # the kernel's one buffer set is 1.5 MiB, and 1.575 MiB is measured
         assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize(
-        "n", [2 ** 15, 2 ** 15 + 1, 2 ** 16 - 1, 2 ** 16 + 1, 300_001, 999_983, 10 ** 6]
+        "n",
+        [2 ** 15, 2 ** 15 + 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 300_001, 999_983, 10 ** 6],
     )
     def test_tree_pieces_match_whole_row_sum(self, n):
         # numpy's pairwise summation of the whole row, rebuilt from pieces
         # of at most 2^15 entries cut at the nodes of its tree
         y = np.random.default_rng(n).random((1, n))
         sums = np.empty((1, 3), dtype=complex)
-        estimation._tree_sums(y, sums, estimation._work_buffers(1, n))
+        estimation._tree_sums(y, sums, estimation._work_buffers())
         base = _phase(y)
         power = base.copy()
         for j in range(3):
             if j:
                 power *= base
             assert np.array_equal(sums[:, j], np.add.reduce(power, axis=1))
+
+    def test_one_buffer_set_serves_any_n(self):
+        # a set of _work_buffers() passed in holds blocks of many rows, a
+        # row of exactly a block, and rows cut into pieces
+        work = estimation._work_buffers()
+        for n in [2, 100, 2 ** 15, 2 ** 15 + 1, 2 ** 16, 10 ** 6]:
+            y = np.random.default_rng(n).random((max(1, 2 ** 17 // n), n))
+            assert np.array_equal(empirical_coeffs_batch(y, 5, work), empirical_coeffs_batch(y, 5))
 
     def test_long_row_allocation_bounded_by_piece(self):
         y = np.random.default_rng(6).random((1, 10 ** 6))
@@ -147,10 +159,11 @@ class TestEmpiricalCoeffs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one row per block: two complex and two 8-byte buffers of 2^16, 3 MiB,
-        # and a peak of 3.07 MiB measured; a block-sized float temporary adds
-        # 0.5 MiB, and np.take(..., mode="raise") buffering base adds 1 MiB
-        assert peak < 3.25 * 2 ** 20
+        # each row in two pieces of a block: two complex and two 8-byte
+        # buffers of 2^15, 1.5 MiB, and a peak of 1.575 MiB measured; a
+        # block-sized float temporary makes it 1.825 MiB, and
+        # np.take(..., mode="raise") buffering base 2.012 MiB
+        assert peak < 1.7 * 2 ** 20
 
     def test_null_batch_allocation_bounded_by_block(self):
         n = 2 ** 16
@@ -162,13 +175,14 @@ class TestEmpiricalCoeffs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the null batch drawn whole is a (128, 65536) matrix, 64 MiB
+        # the null batch drawn whole is a (128, 65536) matrix, 64 MiB; a
+        # stream block and the kernel's buffers peak at 2.111 MiB measured
         assert peak < 8 * 2 ** 20
 
     def test_non_null_batches_allocation_bounded_by_block(self):
         # one 128-row batch of a hypercube mixture and one of the boundary
         # density: drawn whole they peaked at 145 and 196 MiB, and a block
-        # at a time at 4.3 and 4.9 MiB (3 MiB of it kernel buffers)
+        # at a time at 2.8 and 3.4 MiB (1.5 MiB of it kernel buffers)
         n = 2 ** 16
         cfg = harness.ExperimentConfig(n_grid=(n,), scenarios=("hypercube", "boundary"))
         cls, eps = cfg.smoothness_class(), cfg.noise_model()
@@ -333,22 +347,23 @@ class TestEstimateQ:
             estimate_q_batch(iter([]), eps, 3)
 
     @pytest.mark.parametrize(
-        "heights, allocations",
-        [([21] * 6 + [2], 1), ([1, 3, 2, 3], 2), ([40, 40], 1)],
+        "heights",
+        [[10] * 6 + [2], [1, 3, 2, 3], [40, 40]],
         ids=["ragged-last-block", "taller-later-block", "taller-than-kernel-block"],
     )
-    def test_work_buffers_reused_across_blocks(self, heights, allocations, monkeypatch):
-        # at n = 3000 a kernel block is 21 rows; the buffers are allocated
-        # once and again only for a block taller than any before it
+    def test_work_buffers_reused_across_blocks(self, heights, monkeypatch):
+        # at n = 3000 a kernel block is 10 rows; one buffer set, allocated
+        # once per call, serves blocks of every height
         calls = []
         allocate = estimation._work_buffers
-        monkeypatch.setattr(estimation, "_work_buffers", lambda *a: calls.append(a) or allocate(*a))
+        monkeypatch.setattr(estimation, "_work_buffers", lambda: calls.append(1) or allocate())
         eps = NoiseModel.mild(1.0)
         y = np.random.default_rng(12).random((sum(heights), 3000))
         blocks = np.split(y, np.cumsum(heights)[:-1])
-        assert np.array_equal(estimate_q_batch(iter(blocks), eps, 4), estimate_q_batch(y, eps, 4))
-        assert len(calls) == 1 + allocations
-        assert max(rows for rows, _ in calls[:-1]) == min(max(heights), 21)
+        fed = estimate_q_batch(iter(blocks), eps, 4)
+        assert len(calls) == 1
+        assert np.array_equal(fed, estimate_q_batch(y, eps, 4))
+        assert len(calls) == 2
 
     def test_null_mean_near_zero(self):
         eps = NoiseModel.mild(1.0)

@@ -347,7 +347,7 @@ class TestRiskExperiment:
         assert r1.rows == r8.rows
 
     def test_deterministic_across_thread_counts_multi_block(self):
-        # at n = 16384 each 128-row batch is 32 four-row kernel blocks, and
+        # at n = 16384 each 128-row batch is 32 four-row stream blocks, and
         # 300 replications end in a partial batch
         base = dict(
             n_grid=(16384,), replications=300, scenarios=("null", "boundary"), seed=5
@@ -407,7 +407,8 @@ class TestRiskExperiment:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_boundary_rows_follow_stream_rule(self, threads):
         # 300 replications end in a partial batch, and at n = 1024 a full
-        # batch is two kernel blocks; boundary is scenario 1
+        # batch is two stream blocks (four kernel blocks); boundary is
+        # scenario 1
         cfg = ExperimentConfig(n_grid=(64, 1024), replications=300, seed=13, threads=threads,
                                scenarios=("null", "boundary"))
         cls, eps = cfg.smoothness_class(), cfg.noise_model()
@@ -420,10 +421,11 @@ class TestRiskExperiment:
             q_hat = _stream_q_hats(cfg, (1, g), n, k, draw)
             assert row["risk"] == float(np.mean((q_hat - quadratic_functional(f)) ** 2))
 
-    @pytest.mark.parametrize("block_elems", [2 ** 15, 2 ** 14])
+    @pytest.mark.parametrize("block_elems", [2 ** 16, 2 ** 14])
     def test_kernel_block_size_moves_no_report(self, block_elems):
-        # the kernel's cache-sized blocks are not the stream's: a smaller
-        # one splits each 16-row stream block at n = 4096, but no draw moves
+        # the kernel's cache-sized blocks are not the stream's: at n = 4096
+        # each 16-row stream block is one kernel block of 2^16 observations
+        # and four of 2^14 (two of the default 2^15), but no draw moves
         cfg = ExperimentConfig(n_grid=(4096,), replications=32, seed=3,
                                scenarios=("null", "two_point", "boundary"))
         expected = emit_report(run_risk_experiment(cfg))
@@ -521,7 +523,7 @@ class TestTestExperiment:
     def test_type_two_follows_stream_rule(self, threads):
         # as for type I, the threshold nu_k^2 stands in for the calibrated one;
         # the ladder's one step, feasible at both n, is cell 1, and at
-        # n = 1024 a full batch is two kernel blocks
+        # n = 1024 a full batch is two stream blocks
         cfg = ExperimentConfig(n_grid=(64, 1024), replications=300, seed=13, threads=threads,
                                a_ladder=(0.6,))
         cls, eps = cfg.smoothness_class(), cfg.noise_model()
@@ -1137,6 +1139,19 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    @pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["no-flag", "seed-flag"])
+    @pytest.mark.parametrize(
+        "text, kind", [("5", "int"), ("null", "NoneType"), ("[1, 2]", "list"), ('"abc"', "str")]
+    )
+    def test_non_object_config_exit_code(self, tmp_path, text, kind, flags):
+        # refused as a whole before --seed is set on it, not as a mapping
+        # of unknown keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = self._run("simulate-risk", "--config", str(cfg), *flags)
+        assert res.returncode == 2
+        assert res.stderr == f"error: a config must be a JSON object, got {kind}\n"
 
     @pytest.mark.parametrize(
         "args",
