@@ -137,9 +137,20 @@ def cmd_rates(args) -> int:
     return 0
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a ValueError names a repeated key,
+    which json.load would otherwise let the last value win."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValueError(f"config key {key!r} is repeated")
+        d[key] = value
+    return d
+
+
 def _load_config(args) -> ExperimentConfig:
-    with open(args.config) as fh:
-        d = json.load(fh)
+    with open(args.config, encoding="utf-8") as fh:
+        d = json.load(fh, object_pairs_hook=_unique_keys)
     flags = {"seed": args.seed, "threads": args.threads}
     return ExperimentConfig.from_json_dict(d, **{k: v for k, v in flags.items() if v is not None})
 

@@ -90,14 +90,6 @@ _KEEP = np.array(
     dtype=np.uint64,
 )
 
-# the class of each byte, for the lines the bulk pass refuses: 0 ASCII
-# whitespace (str.isspace), 1 any other ASCII byte but a digit, 2 an ASCII
-# digit or a byte of a non-ASCII character
-_BYTE_CLASS = np.ones(256, dtype=np.uint8)
-_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = 0
-_BYTE_CLASS[ord("0") : ord("9") + 1] = 2
-_BYTE_CLASS[128:] = 2
-
 
 def _split(x):
     """x as hi + lo exactly, each with at most 26 significant bits, so that
@@ -220,38 +212,6 @@ def _hhmm_lines(raw: bytes, ends: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.where(ok, (hh * 60 + mm) / 1440.0, np.nan)
 
 
-def _line_classes(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The highest _BYTE_CLASS among the bytes arr[starts[i] : ends[i] + 1]
-    of each line, its newline included; at least one line."""
-    size = ends - starts + 1
-    first = np.cumsum(size) - size
-    at = np.arange(first[-1] + size[-1]) + np.repeat(starts - first, size)
-    return np.maximum.reduceat(_BYTE_CLASS[arr[at]], first)
-
-
-def _convert_block(lines: list, convert) -> list:
-    """convert applied to each of a list of lines, NaN for each line it
-    refuses.
-
-    A line that convert refuses is retried on its stripped text, since
-    str.strip() removes the separators U+001C to U+001F and float() does
-    not. The bulk map resumes after the line, so the exception cost is
-    paid per refused line only.
-    """
-    values = []
-    it = map(convert, lines)
-    while True:
-        try:
-            values.extend(it)
-            return values
-        except ValueError:
-            # extend keeps the values appended before the refused line
-            try:
-                values.append(convert(lines[len(values)].strip()))
-            except ValueError:
-                values.append(math.nan)
-
-
 class _Format(NamedTuple):
     """How one data format is read."""
 
@@ -277,13 +237,13 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     both fields unsigned ASCII digits), "degrees" ([0, 360)). The file is
     parsed as it is read, a block of text at a time, with the values and
     messages of the per-line parsers in DATA_FORMATS: a bulk pass takes
-    the lines whose value it can show to be exactly the parser's, ASCII
-    lines without a digit are refused unread, since no parser takes them,
-    and the parser reads the rest one at a time. Blank lines are skipped
-    but keep their line numbers; more than 1% failing non-blank lines
-    aborts, quoting the first 20. An unknown format raises ValueError
-    before the file is opened; a file that cannot be read or decoded
-    raises IngestError.
+    the lines whose value it can show to be exactly the parser's, and the
+    rest are converted one at a time on their stripped text. Blank lines,
+    empty once stripped, are skipped but keep their line numbers; more
+    than 1% failing non-blank lines aborts, quoting the first 20. An
+    unknown format raises ValueError before the file is opened; a file
+    that cannot be read or is not UTF-8 raises IngestError, whatever the
+    machine's locale.
     """
     form = DATA_FORMATS.get(fmt)
     if form is None:
@@ -291,31 +251,30 @@ def ingest_circular_data(path, fmt: str = "unit") -> CircularSample:
     parse, bulk, convert, period = form
     blocks, failures, total, pos = [], [], 0, 0
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for text in _text_blocks(fh):
                 # newlines before the text, so that 24 bytes precede every line end
-                raw = b"\n" * 24 + text.encode("utf-8", "surrogatepass")
+                raw = b"\n" * 24 + text.encode()
                 arr = np.frombuffer(raw, np.uint8)
                 newlines = np.flatnonzero(arr == ord("\n"))[23:]
                 starts, ends = newlines[:-1] + 1, newlines[1:]
                 values = bulk(raw, ends, ends - starts)
 
                 def line(i):
-                    return raw[starts[i] : ends[i] + 1].decode("utf-8", "surrogatepass")
+                    return raw[starts[i] : ends[i] + 1].decode()
 
-                # of the lines the bulk pass leaves out, ASCII whitespace is
-                # blank and other ASCII text without a digit stays NaN: float()
-                # refuses it or reads nan or inf, and an hhmm time needs digits
+                # a line the bulk pass leaves out is converted on its stripped
+                # text; empty text is a blank line, and a refused one stays NaN
                 blank = np.zeros(ends.size, dtype=bool)
-                rest = np.flatnonzero(np.isnan(values))
-                if rest.size:
-                    classes = _line_classes(arr, starts[rest], ends[rest])
-                    blank[rest[classes == 0]] = True
-                    read = rest[classes == 2]
-                    lines = [line(i) for i in read]
-                    values[read] = _convert_block(lines, convert)
-                    refused = np.flatnonzero(np.isnan(values[read]))
-                    blank[read[refused]] = [lines[j].isspace() for j in refused]
+                for i in np.flatnonzero(np.isnan(values)).tolist():
+                    stripped = line(i).strip()
+                    if not stripped:
+                        blank[i] = True
+                        continue
+                    try:
+                        values[i] = convert(stripped)
+                    except ValueError:
+                        pass
                 # a refused line is NaN, so this one check catches every bad line
                 ok = (values >= 0.0) & (values < period)
                 block = values[ok]

@@ -133,7 +133,7 @@ def _per_line_ingest(path, fmt):
     that the block parse must reproduce bit for bit."""
     parse = DATA_FORMATS[fmt].parse
     values, failures, total = [], [], 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
@@ -176,6 +176,21 @@ def _outcome(ingest, path, fmt):
         return type(e).__name__, str(e)
 
 
+def _converted(path, fmt):
+    """The text of each line that reaches the format's converter while the
+    file is ingested, whose outcome must be the per-line reference's."""
+    form = DATA_FORMATS[fmt]
+    per_line = []
+
+    def counted(text):
+        per_line.append(text)
+        return form.convert(text)
+
+    with mock.patch.dict(ingest.DATA_FORMATS, {fmt: form._replace(convert=counted)}):
+        assert _outcome(ingest_circular_data, path, fmt) == _outcome(_per_line_ingest, path, fmt)
+    return per_line
+
+
 _GOOD_LINE = {
     "unit": st.floats(0.0, 1.0, exclude_max=True).map(repr),
     "degrees": st.floats(0.0, 360.0, exclude_max=True).map(repr),
@@ -183,9 +198,9 @@ _GOOD_LINE = {
 }
 # out of range, unparsable or blank in some format; the padding "\x1c" and
 # "\x1f" is stripped by str.strip() but refused by float(), and a line of
-# "\x1c" alone is blank. ASCII text without a digit ("nan", " Infinity ",
-# "n/a") never reaches float(), while non-ASCII digits do. The rest lie on
-# either side of a limit of the bulk pass: no digit before or after the
+# "\x1c" alone is blank. float() reads "nan" and " Infinity ", which the
+# range check refuses, and refuses "n/a". The rest lie on either side of
+# a limit of the bulk pass: no digit before or after the
 # '.', two dots, an exponent, non-ASCII digits, 19 and 20 significant
 # digits (M below and above 2^62), M = 10 * 2^64 + 3, 24 and 25 bytes,
 # a minute of 60 and a valid time after a byte too many
@@ -810,37 +825,24 @@ class TestIngest:
         texts = [_midpoint_text(x, d) for x, d in zip(xs, gen.integers(16, 21, len(xs)).tolist())]
         p = tmp_path / "d.txt"
         p.write_text("\n".join(texts) + "\n")
-        per_line = []
-        convert = ingest._convert_block
-
-        def counted(lines, parse):
-            per_line.extend(lines)
-            return convert(lines, parse)
-
-        with mock.patch.object(ingest, "_convert_block", counted):
-            assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
         # the bulk pass took most lines, and float() at least the 20-digit ones
-        assert sum(d == 20 for d in map(_significant_digits, texts)) <= len(per_line) < len(xs) / 2
+        twenties = sum(d == 20 for d in map(_significant_digits, texts))
+        assert twenties <= len(_converted(p, fmt)) < len(xs) / 2
+        # M exceeds 2^62 on every line of this file, so float() reads each one
+        twenty = [_midpoint_text(x, 20) for x in xs[:20_000]]
+        p.write_text("\n".join(twenty) + "\n")
+        assert _converted(p, fmt) == twenty
 
     @pytest.mark.parametrize("fmt", ["unit", "degrees", "hhmm"])
-    def test_lines_without_digits_skip_the_per_line_parser(self, tmp_path, fmt):
-        # ASCII lines with no digit are refused in bulk; blank ones are
-        # skipped, and non-ASCII ones still go to the per-line parser
+    def test_left_out_lines_reach_the_converter_stripped(self, tmp_path, fmt):
+        # every line the bulk pass leaves out reaches the converter on its
+        # stripped text, except a blank one, which is skipped unread
         good = {"unit": "0.5", "degrees": "180.0", "hhmm": "12:00"}[fmt]
         odd = ["nan", "-inf", " Infinity ", "n/a", "\x1c", " ", "\u3000", "\u0660.\u0665"]
         p = tmp_path / "d.txt"
         for lines in ([good] * 1000 + odd, [good] * 10 + odd):
             p.write_text("\n".join(lines) + "\n")
-            per_line = []
-            convert = ingest._convert_block
-
-            def counted(block, parse):
-                per_line.extend(block)
-                return convert(block, parse)
-
-            with mock.patch.object(ingest, "_convert_block", counted):
-                assert _outcome(ingest_circular_data, p, fmt) == _outcome(_per_line_ingest, p, fmt)
-            assert per_line == ["\u3000\n", "\u0660.\u0665\n"]
+            assert _converted(p, fmt) == ["nan", "-inf", "Infinity", "n/a", "\u0660.\u0665"]
 
     def test_hhmm_bulk_pass_matches_per_line_loop(self, tmp_path):
         gen = np.random.default_rng(8)
@@ -911,9 +913,9 @@ class TestReports:
 
 
 class TestCli:
-    def _run(self, *args, cwd=None):
+    def _run(self, *args, cwd=None, env=None):
         # the child finds the package where this process imported it from,
-        # so the tests need no install
+        # so the tests need no install; env adds to the child's environment
         pkg_root = str(Path(circdeconv.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
@@ -921,7 +923,7 @@ class TestCli:
             capture_output=True,
             text=True,
             cwd=cwd,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, **(env or {}), "PYTHONPATH": path},
         )
 
     def test_estimate_and_test_commands(self, tmp_path):
@@ -933,6 +935,19 @@ class TestCli:
         res = self._run("test", str(data), "--k", "2", "--alpha", "0.1")
         assert res.returncode == 0
         assert json.loads(res.stdout)["decision"] in ("accept_null", "reject_null")
+
+    def test_data_file_read_as_utf8_in_any_locale(self, tmp_path):
+        # float() reads the Arabic-Indic "0.5" of line 2; under the C locale,
+        # with no coercion to UTF-8, the file used to be decoded as ASCII
+        data = tmp_path / "d.txt"
+        data.write_bytes("0.25\n\u0660.\u0665\n0.75\n".encode())
+        args = ("estimate", str(data), "--k", "2")
+        default = self._run(*args)
+        assert default.returncode == 0 and '"n": 3' in default.stdout
+        c_locale = self._run(
+            *args, env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        )
+        assert (c_locale.returncode, c_locale.stdout, c_locale.stderr) == (0, default.stdout, "")
 
     @pytest.mark.parametrize(
         "args",
@@ -1139,6 +1154,14 @@ class TestCli:
         res = self._run("simulate-risk", "--config", str(cfg))
         assert res.returncode == 2
         assert next(iter(bad)) in res.stderr
+
+    def test_repeated_config_key_exit_code(self, tmp_path):
+        # json.load keeps the last value of a repeated key: this ran with seed 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_grid": [64], "replications": 4, "seed": 1, "seed": 2}')
+        res = self._run("simulate-risk", "--config", str(cfg))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: config key 'seed' is repeated\n"
 
     @pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["no-flag", "seed-flag"])
     @pytest.mark.parametrize(
