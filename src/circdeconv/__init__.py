@@ -6,78 +6,18 @@ estimates the squared L2 distance of the density of X to the uniform
 density, tests uniformity at a prescribed level, evaluates the matching
 theoretical rates and lower-bound constructions, and ships a reproducible
 Monte Carlo harness with a CLI front end.
+
+The package exports exactly the names in each module's `__all__`.
 """
 
-from .errors import (
-    CalibrationError,
-    CertificationError,
-    CircdeconvError,
-    ClassNotSummable,
-    ConditionViolation,
-    DimensionNotFound,
-    IngestError,
-    InvalidDensityError,
-)
-from .estimation import (
-    empirical_coeffs_batch,
-    estimate_q,
-    estimate_q_batch,
-)
-from .fourier import (
-    FourierDensity,
-    NoiseModel,
-    SmoothnessClass,
-    ellipsoid_membership,
-    quadratic_functional,
-    truncated_functional,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
-    emit_report,
-    run_risk_experiment,
-    run_test_experiment,
-)
-from .ingest import (
-    CircularSample,
-    ingest_circular_data,
-)
-from .lowerbounds import (
-    HypercubeFamily,
-    TwoPointPair,
-    build_hypercube,
-    build_two_point,
-    chi2_mixture_bound,
-    exact_mixture_chi2,
-    hellinger_reduction_bound,
-    testing_to_estimation_lb,
-)
-from .rates import (
-    OrderDescriptor,
-    RateReport,
-    RiskBoundBreakdown,
-    ScanRow,
-    base_term,
-    find_eta,
-    fit_log_rate,
-    fit_rate,
-    nu_k_sq,
-    numeric_rate_scan,
-    optimal_dim_est,
-    optimal_two_point_freq,
-    radius_upper,
-    risk_upper_bound,
-    theoretical_estimation_rate,
-    theoretical_testing_radius,
-)
-from .sampling import (
-    sample_batch,
-)
-from .testing import (
-    TestCalibration,
-    TestResult,
-    calibrate,
-    run_test,
-)
+from .errors import *
+from .estimation import *
+from .fourier import *
+from .harness import *
+from .ingest import *
+from .lowerbounds import *
+from .rates import *
+from .sampling import *
+from .testing import *
 
 __version__ = "0.1.0"

@@ -61,9 +61,10 @@ def _add_model_args(p):
 
 
 def _scan_max_exp(text: str) -> int:
-    """--scan-max-exp E: the scan runs n = 2^8..2^E, and its slope fit needs 4 points."""
-    if not (text.isdigit() and int(text) >= 11):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 11, got {text!r}")
+    """--scan-max-exp E: the scan runs n = 2^8..2^E, and its slope fit needs
+    4 points; kappa* refuses any n whose square leaves float range, past 2^511."""
+    if not (text.isascii() and text.isdigit() and 11 <= int(text) <= 511):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 11 and <= 511, got {text!r}")
     return int(text)
 
 
@@ -238,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--scan", action="store_true", help="include a finite-n scan")
     p.add_argument(
-        "--scan-max-exp", type=_scan_max_exp, default=16, help="scan n up to 2^E (E >= 11)"
+        "--scan-max-exp", type=_scan_max_exp, default=16,
+        help="scan n up to 2^E (11 <= E <= 511)",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_rates)

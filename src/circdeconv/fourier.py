@@ -214,6 +214,14 @@ def _check_finite(model, *names):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _power(x: float, p: int) -> float:
+    """x ** p, with inf where Python's float ** raises OverflowError."""
+    try:
+        return x ** p
+    except OverflowError:
+        return np.inf
+
+
 def ellipsoid_membership(f: FourierDensity, cls: "SmoothnessClass"):
     """Check 2 sum_j a_j^{-2} |f_j|^2 <= R^2.
 
@@ -263,6 +271,16 @@ class SmoothnessClass:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        # risk_upper_bound forms R^4, l_a forms scale^2 and build_hypercube
+        # divides by L_a; Python's float ** raises OverflowError past float range
+        if not _power(self.radius, 4) < np.inf:
+            raise ValueError(
+                f"radius is too large: R^4 must lie within float range, got {self.radius!r}"
+            )
+        if not 0 < _power(self.scale, 2) < np.inf:
+            raise ValueError(
+                f"scale is out of range: scale^2 must be a positive float, got {self.scale!r}"
+            )
 
     @classmethod
     def ordinary(cls, s: float, radius: float = 1.0, scale: float = 1.0):

@@ -1178,10 +1178,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "args",
-        [("rates", "--smoothness", "super", "--scan", "--scan-max-exp", "600"),
-         ("lower-bound", "--n", str(10 ** 400)),
+        [("lower-bound", "--n", str(10 ** 400)),
          ("simulate-risk", "--config"), ("simulate-test", "--config")],
-        ids=["rates-scan", "lower-bound", "simulate-risk", "simulate-test"],
+        ids=["lower-bound", "simulate-risk", "simulate-test"],
     )
     def test_n_beyond_float_range_exit_code(self, tmp_path, args):
         # kappa* compares a_k^4 with S_k / n^2, and n^2 leaves float range near n = 2^512
@@ -1195,6 +1194,35 @@ class TestCli:
         res = self._run(*args)
         assert res.returncode == 2
         assert res.stderr == expected
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(("lower-bound", "--a-scale", "1e-300"), "scale"),
+         (("lower-bound", "--a-scale", "1e300"), "scale"),
+         (("lower-bound", "--radius", "1e300"), "radius"),
+         (("test", "--radius", "1e200"), "radius"),
+         (("simulate-test", {"radius": 1e300}), "radius"),
+         (("simulate-risk", {"radius": 1e200, "scenarios": ["hypercube"]}), "radius"),
+         (("simulate-risk", {"a_scale": 1e-200, "scenarios": ["hypercube"]}), "scale")],
+        ids=["lb-scale-small", "lb-scale-large", "lb-radius", "test-radius",
+             "simtest-radius", "simrisk-radius", "simrisk-scale"],
+    )
+    def test_model_scale_beyond_float_range_exit_code(self, tmp_path, args, field):
+        # Python's float ** raises past float range where R^2, R^4 or
+        # scale^2 is formed, and scale^2 may underflow to 0 before 1 / L_a
+        command, rest = args[0], args[1:]
+        if command == "test":
+            data = tmp_path / "d.txt"
+            data.write_text("0.1\n0.2\n0.7\n")
+            rest = (str(data), *rest)
+        elif command.startswith("simulate-"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_grid": [64], "replications": 2, **rest[0]}))
+            rest = ("--config", str(cfg))
+        res = self._run(command, *rest)
+        assert res.returncode == 2 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field} ")
 
     @pytest.mark.parametrize("command", ["rates", "simulate-risk"])
     def test_noise_density_too_large_to_allocate_exit_code(self, tmp_path, command):
@@ -1247,6 +1275,14 @@ class TestCli:
         res = self._run("rates", "--scan", "--scan-max-exp", max_exp)
         assert res.returncode == 1
         assert "--scan-max-exp: must be an integer >= 11" in res.stderr
+
+    @pytest.mark.parametrize("max_exp", ["\u0661\u0661", "512", "600"])
+    def test_scan_max_exp_above_511_or_non_ascii_is_usage_error(self, max_exp):
+        # "\u0661\u0661" is an Arabic-Indic 11, which str.isdigit accepts; no
+        # n past 2^511 has a square within float range, as kappa* needs
+        res = self._run("rates", "--smoothness", "super", "--scan", "--scan-max-exp", max_exp)
+        assert res.returncode == 1 and res.stdout == ""
+        assert "--scan-max-exp: must be an integer >= 11 and <= 511" in res.stderr
 
     @pytest.mark.parametrize("fmt, period", [("unit", 1.0), ("degrees", 360.0)])
     def test_ingest_prints_each_value_to_17_digits(self, tmp_path, fmt, period):

@@ -1,12 +1,14 @@
 """Module structure: imports at module level only and none of scipy, the
 sequence theory in `rates` and the constructions in `lowerbounds` depend
-on no analysis module, every package export is declared in the `__all__`
-of the module it comes from, every module attribute the benchmark tracer
-wraps still exists, every module-level private name is used, and every
-exported name is called by the program or is one of the paper's results."""
+on no analysis module, the package exports exactly the names in its
+modules' `__all__` lists and no name is in two of them, every module
+attribute the benchmark tracer wraps still exists, every module-level
+private name is used, and every exported name is called by the program or
+is one of the paper's results."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -69,15 +71,36 @@ def test_no_scipy_import(path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
-def test_package_exports_declared_in_home_module():
-    missing = []
-    for node in _tree(SRC / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            home = importlib.import_module(f"circdeconv.{node.module}")
-            missing += [
-                f"{node.module}.{a.name}" for a in node.names if a.name not in home.__all__
-            ]
-    assert missing == []
+# The modules with an __all__, each star-imported by __init__.py (every
+# module but cli).
+EXPORTING = [
+    module
+    for module in (importlib.import_module(f"circdeconv.{path.stem}") for path in MODULES)
+    if module is not circdeconv and hasattr(module, "__all__")
+]
+
+
+def test_package_exports_exactly_the_module_alls():
+    exported = {name: getattr(module, name) for module in EXPORTING for name in module.__all__}
+    # each the same object as in its home module
+    assert sorted(
+        name for name, obj in exported.items() if getattr(circdeconv, name, None) is not obj
+    ) == []
+    public = {
+        name
+        for name, obj in vars(circdeconv).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert sorted(public ^ exported.keys()) == []
+
+
+def test_no_name_in_two_module_alls():
+    # a star import would let the later module silently shadow the earlier
+    homes = {}
+    for module in EXPORTING:
+        for name in module.__all__:
+            homes.setdefault(name, []).append(module.__name__)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
 # The names perfbench/launch.py wraps, by the module it looks them up in.
