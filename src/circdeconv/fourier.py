@@ -14,6 +14,7 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -271,16 +272,14 @@ class SmoothnessClass:
             raise ValueError(f"unknown smoothness kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        # risk_upper_bound forms R^4, l_a forms scale^2 and build_hypercube
-        # divides by L_a; Python's float ** raises OverflowError past float range
-        if not _power(self.radius, 4) < np.inf:
-            raise ValueError(
-                f"radius is too large: R^4 must lie within float range, got {self.radius!r}"
-            )
-        if not 0 < _power(self.scale, 2) < np.inf:
-            raise ValueError(
-                f"scale is out of range: scale^2 must be a positive float, got {self.scale!r}"
-            )
+        # R^4 (risk bound) and a_k^4 (kappa*) past float range raise in float
+        # **; a subnormal or zero one makes a vacuous lower bound
+        for name in ("radius", "scale"):
+            value = getattr(self, name)
+            if not sys.float_info.min <= _power(value, 4) < np.inf:
+                raise ValueError(
+                    f"{name} is out of range: {name}^4 must be a normal float, got {value!r}"
+                )
 
     @classmethod
     def ordinary(cls, s: float, radius: float = 1.0, scale: float = 1.0):

@@ -487,10 +487,9 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
     elif fmt == "csv":
         cols = _CSV_COLUMNS[report.kind]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore")
+        writer = csv.DictWriter(buf, fieldnames=cols, restval="", extrasaction="ignore")
         writer.writeheader()
-        for row in report.rows:
-            writer.writerow({c: row.get(c, "") for c in cols})
+        writer.writerows(report.rows)
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditionViolation
 from .fourier import FourierDensity, NoiseModel, SmoothnessClass, ellipsoid_membership
-from .rates import optimal_dim_est, variance_sums
+from .rates import find_eta, optimal_dim_est, radius_upper, variance_sums
 
 __all__ = [
     "HypercubeFamily",
@@ -56,8 +56,8 @@ class HypercubeFamily:
     vector tau has f_j = tau_j * theta_j. Every vertex is a certified
     density inside the ellipsoid, separated from uniform by exactly
     zeta * eta * rho_star^2 in squared norm.
-    rho_star_sq is max(a_k^2, nu_k^2) at the crossing k = kappa*, at least
-    the scan's ScanRow.rho_star_sq, the minimum of the same over k.
+    rho_star_sq is radius_upper, max(a_k^2, nu_k^2), at the crossing
+    k = kappa*: at least the scan's ScanRow.rho_star_sq, its minimum over k.
     """
 
     base_coeffs: np.ndarray
@@ -102,12 +102,10 @@ def build_hypercube(
         raise ValueError("alpha must lie in (0, 1)")
     l_a = cls.l_a
     kappa = optimal_dim_est(cls, eps, n)
-    a2 = float(cls.a(np.array([kappa]))[0]) ** 2
+    eta, rho_star_sq = find_eta(cls, eps, n), radius_upper(cls, eps, n, kappa)
     s = float(variance_sums(eps, kappa)[-1])
-    nu2 = float(np.sqrt(s)) / n
-    eta = min(a2, nu2) / max(a2, nu2)
-    rho_star_sq = max(a2, nu2)
-    zeta = min(cls.radius ** 2, np.sqrt(np.log(1.0 + 2.0 * alpha ** 2)), 1.0 / l_a)
+    budget = np.log(1.0 + 2.0 * alpha ** 2)
+    zeta = min(cls.radius ** 2, np.sqrt(budget), 1.0 / l_a)
     mod = eps.modulus(np.arange(1, kappa + 1))
     theta = np.sqrt(zeta * eta) * np.sqrt(rho_star_sq) * mod ** -2.0 / np.sqrt(s)
 
@@ -138,16 +136,14 @@ def build_hypercube(
         )
     # (g) similarity: n^2 * 2 sum theta^4 |eps|^4 <= log(1 + 2 alpha^2)
     sim = n ** 2 * 2.0 * float(np.sum(theta ** 4 * mod ** 4))
-    if sim > np.log(1.0 + 2.0 * alpha ** 2) + CONDITION_SLACK:
-        raise ConditionViolation(
-            "(g) similarity", f"{sim:.6g} exceeds log(1+2a^2) = {np.log(1 + 2 * alpha ** 2):.6g}"
-        )
+    if sim > budget + CONDITION_SLACK:
+        raise ConditionViolation("(g) similarity", f"{sim:.6g} exceeds log(1+2a^2) = {budget:.6g}")
     return HypercubeFamily(
         base_coeffs=theta,
         kappa=kappa,
         zeta=float(zeta),
-        eta=float(eta),
-        rho_star_sq=float(rho_star_sq),
+        eta=eta,
+        rho_star_sq=rho_star_sq,
         separation_sq=sep,
         similarity=sim,
     )

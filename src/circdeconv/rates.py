@@ -144,10 +144,8 @@ def radius_upper(cls: SmoothnessClass, eps: NoiseModel, n: int, k: int) -> float
     Alternatives separated from uniform by a multiple of rho_k are
     detectable; minimizing over k gives the testing radius.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    a_k2 = float(cls.a(np.array([k]))[0]) ** 2
-    return max(a_k2, nu_k_sq(eps, n, k))
+    nu2 = nu_k_sq(eps, n, k)  # refuses n < 2 and k < 1 before cls.a sees k
+    return max(float(cls.a(np.array([k]))[0]) ** 2, nu2)
 
 
 @dataclass(frozen=True)

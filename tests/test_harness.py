@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -897,13 +899,19 @@ class TestReports:
         assert hashlib.sha256(blob).hexdigest() == report.report_hash()
 
     def test_csv_structure(self, tmp_path):
-        cfg = ExperimentConfig(a_ladder=(0.1, 0.2), **SMALL)
+        # A = 50 breaks the l1 certificate, so that step is infeasible
+        cfg = ExperimentConfig(a_ladder=(0.1, 0.2, 50.0), **SMALL)
         report = run_test_experiment(cfg)
         text = emit_report(report, "csv")
         lines = text.strip().splitlines()
         assert lines[0].startswith("n,A,k,type1")
         # one null row + one row per ladder entry
-        assert len(lines) - 1 == 1 + 2
+        assert len(lines) - 1 == 1 + 3
+        # a field a row lacks or holds as None is an empty cell
+        null, feasible, _, infeasible = csv.DictReader(io.StringIO(text))
+        assert (null["type2"], null["error_sum"], null["feasible"]) == ("", "", "")
+        assert feasible["type2"] != "" and feasible["feasible"] == "True"
+        assert (infeasible["A"], infeasible["se"], infeasible["feasible"]) == ("50.0", "", "False")
 
     def test_config_hash_matches_rehash(self):
         cfg = ExperimentConfig(scenarios=("null",), **SMALL)
@@ -1203,13 +1211,18 @@ class TestCli:
          (("test", "--radius", "1e200"), "radius"),
          (("simulate-test", {"radius": 1e300}), "radius"),
          (("simulate-risk", {"radius": 1e200, "scenarios": ["hypercube"]}), "radius"),
-         (("simulate-risk", {"a_scale": 1e-200, "scenarios": ["hypercube"]}), "scale")],
+         (("simulate-risk", {"a_scale": 1e-200, "scenarios": ["hypercube"]}), "scale"),
+         (("lower-bound", "--radius", "1e-100"), "radius"),
+         (("lower-bound", "--radius", "1e-300"), "radius"),
+         (("lower-bound", "--a-scale", "1e-100"), "scale")],
         ids=["lb-scale-small", "lb-scale-large", "lb-radius", "test-radius",
-             "simtest-radius", "simrisk-radius", "simrisk-scale"],
+             "simtest-radius", "simrisk-radius", "simrisk-scale",
+             "lb-radius-small", "lb-radius-tiny", "lb-scale-subnormal"],
     )
     def test_model_scale_beyond_float_range_exit_code(self, tmp_path, args, field):
         # Python's float ** raises past float range where R^2, R^4 or
-        # scale^2 is formed, and scale^2 may underflow to 0 before 1 / L_a
+        # scale^2 is formed, and a fourth power below the normal floats makes
+        # R^4 or a_k^4 subnormal or 0, a vacuous hypercube or two-point bound
         command, rest = args[0], args[1:]
         if command == "test":
             data = tmp_path / "d.txt"

@@ -184,9 +184,7 @@ PAPER_RESULTS = {
     "exact_mixture_chi2",
     "hellinger_reduction_bound",
     "testing_to_estimation_lb",
-    "radius_upper",
     "risk_upper_bound",
-    "find_eta",
     "fit_log_rate",
 }
 
