@@ -15,7 +15,7 @@ Everything in this module is pure and operates on immutable values.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -174,25 +174,23 @@ def l1_certified(tails) -> np.ndarray:
 
 def observed_density(f: FourierDensity, eps: "NoiseModel") -> FourierDensity:
     """The density g = f (*) eps of Y = X + eps mod 1, by the convolution
-    theorem g_j = f_j eps_j: eps_j from the noise density if the model has
-    one, else the modulus sequence.
+    theorem g_j = f_j eps_j: eps_j from the density of explicit noise, else
+    the modulus sequence, the real coefficients of mild or severe noise.
 
     Raises InvalidDensityError, rather than truncating g, when f has a
     nonzero coefficient above the noise density's max_freq; g stops at the
     smaller of the two max frequencies.
     """
-    if eps.density is None:
-        j = np.arange(1, f.max_freq + 1)
-        return FourierDensity.from_tail(f.coeffs[1:] * eps.modulus(j))
-    cut = eps.density.max_freq
-    beyond = np.flatnonzero(f.coeffs[cut + 1 :])
+    k = f.max_freq if eps.max_freq is None else min(f.max_freq, eps.max_freq)
+    beyond = np.flatnonzero(f.coeffs[k + 1 :])
     if beyond.size:
         raise InvalidDensityError(
-            f"f has a nonzero coefficient at frequency {cut + 1 + int(beyond[-1])}, "
-            f"above the noise density's max_freq {cut} (noise_max_freq in a config)"
+            f"f has a nonzero coefficient at frequency {k + 1 + int(beyond[-1])}, "
+            f"above the noise density's max_freq {k} (noise_max_freq in a config)"
         )
-    k = min(f.max_freq, cut)
-    return FourierDensity(f.coeffs[: k + 1] * eps.density.coeffs[: k + 1])
+    j = np.arange(1, k + 1)
+    eps_j = eps.modulus(j) if eps.density is None else eps.density.coeffs[j]
+    return FourierDensity.from_tail(f.coeffs[1 : k + 1] * eps_j)
 
 
 def quadratic_functional(f: FourierDensity) -> float:
@@ -338,7 +336,10 @@ class NoiseModel:
       "severe"    |eps_j| = scale * exp(-j^p),     p > 0
       "explicit"  |eps_j| read off a FourierDensity's coefficients
 
-    A sequence-only model (density=None) supports every bound and rate
+    max_freq is the top frequency of the sampled density: its coefficients
+    are modulus(j), j <= max_freq, for mild and severe noise, which store no
+    array, and those of density, which only explicit noise holds. A
+    sequence-only model (max_freq=None) supports every bound and rate
     computation but cannot be sampled. Models compare and hash by value
     (the density by its coefficients); sup_norm is computed once per object.
     """
@@ -346,11 +347,20 @@ class NoiseModel:
     kind: str
     p: Optional[float] = None
     scale: float = 1.0
+    max_freq: Optional[int] = None
     density: Optional[FourierDensity] = None
     sup_norm_value: Optional[float] = None
 
     def __post_init__(self):
         _check_finite(self, "p", "sup_norm_value")
+        m = self.max_freq
+        if m is not None:
+            # an integral float names the same frequency (64.0 is 64); a bool names none
+            if isinstance(m, (bool, np.bool_)) or not (m >= 1 and m % 1 == 0):
+                raise ValueError(f"noise density needs an integer max_freq >= 1, got {m!r}")
+            object.__setattr__(self, "max_freq", int(m))
+        if self.density is not None and self.kind != "explicit":
+            raise ValueError(f"{self.kind} noise takes no density: eps_j is modulus(j)")
         if self.kind == "mild":
             if self.p is None or self.p <= 0.5:
                 raise ValueError("mild ill-posedness requires p > 1/2")
@@ -360,6 +370,13 @@ class NoiseModel:
         elif self.kind == "explicit":
             if self.density is None:
                 raise ValueError("explicit noise needs a density")
+            if self.density.max_freq < 1:
+                raise ValueError("noise density has no frequency: its tail is empty")
+            if np.any(np.abs(self.density.coeffs[1:]) == 0.0):
+                raise ValueError("noise coefficients must be non-vanishing")
+            if self.max_freq not in (None, self.density.max_freq):
+                raise ValueError(f"max_freq must be the density's, {self.density.max_freq}")
+            object.__setattr__(self, "max_freq", self.density.max_freq)
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (0 < self.scale <= 1.0):
@@ -375,31 +392,16 @@ class NoiseModel:
         max_freq: Optional[int] = None,
         sup_norm_value: Optional[float] = None,
     ):
-        """Polynomially ill-posed model; with max_freq set, also builds the
-        (real, symmetric) noise density eps_j = scale * j^{-p} truncated there.
-        """
-        model = cls(kind="mild", p=p, scale=scale, sup_norm_value=sup_norm_value)
-        return model._truncated(max_freq)
+        """Polynomially ill-posed model; with max_freq set, it samples the real,
+        symmetric noise density eps_j = scale * j^{-p}, j <= max_freq."""
+        return cls(kind="mild", p=p, scale=scale, max_freq=max_freq, sup_norm_value=sup_norm_value)
 
     @classmethod
     def severe(cls, p: float, scale: float = 1.0, max_freq: Optional[int] = None):
-        return cls(kind="severe", p=p, scale=scale)._truncated(max_freq)
-
-    def _truncated(self, max_freq: Optional[int]) -> "NoiseModel":
-        """This model plus its density eps_j = modulus(j), j <= max_freq, if max_freq is set."""
-        if max_freq is None:
-            return self
-        if max_freq < 1:
-            raise ValueError(f"noise density needs max_freq >= 1, got {max_freq}")
-        tail = self.modulus(np.arange(1, max_freq + 1))
-        return replace(self, density=FourierDensity.from_tail(tail))
+        return cls(kind="severe", p=p, scale=scale, max_freq=max_freq)
 
     @classmethod
     def from_density(cls, density: FourierDensity):
-        if density.max_freq < 1:
-            raise ValueError("noise density has no frequency: its tail is empty")
-        if np.any(np.abs(density.coeffs[1:]) == 0.0):
-            raise ValueError("noise coefficients must be non-vanishing")
         return cls(kind="explicit", density=density)
 
     def modulus(self, j) -> np.ndarray:
@@ -411,8 +413,7 @@ class NoiseModel:
             return self.scale * j ** (-self.p)
         if self.kind == "severe":
             return self.scale * np.exp(-(j ** self.p))
-        jmax = self.density.max_freq
-        if np.any(j > jmax):
+        if np.any(j > self.max_freq):
             raise ValueError("explicit noise modulus queried beyond max_freq")
         return np.abs(self.density.coeffs[j.astype(int)])
 
@@ -421,14 +422,14 @@ class NoiseModel:
         """Upper bound on the sup norm of the error density (>= 1)."""
         if self.sup_norm_value is not None:
             return self.sup_norm_value
-        if self.density is not None:
-            # |eps(x)| <= 1 + sum_{j != 0} |eps_j| at every x
-            return 1.0 + self.density.l1_tail
+        if self.max_freq is not None:
+            # |eps(x)| <= 1 + sum_{j != 0} |eps_j|, summed as FourierDensity.l1_tail sums it
+            return 1.0 + 2.0 * float(np.sum(self.modulus(np.arange(1, self.max_freq + 1))))
         # sequence-only model: bound via the l1 norm of the modulus sequence,
         # summed to convergence (severe; ClassNotSummable if it does not)
         if self.kind == "severe":
             return 1.0 + 2.0 * _sum_sequence(self.modulus)
         raise ValueError(
             "sequence-only mild noise model has no computable sup norm; "
-            "attach a density or pass sup_norm_value"
+            "set max_freq or pass sup_norm_value"
         )

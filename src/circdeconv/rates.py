@@ -53,9 +53,7 @@ M_MAX = 10 ** 4
 def _window(eps: NoiseModel, limit: int) -> int:
     """Scan frequencies 1..limit, or 1..max_freq for explicit noise, whose
     modulus is undefined above max_freq (at least 1 by construction)."""
-    if eps.kind == "explicit":
-        return min(limit, eps.density.max_freq)
-    return limit
+    return min(limit, eps.max_freq) if eps.kind == "explicit" else limit
 
 
 def variance_sums(eps: NoiseModel, k: int) -> np.ndarray:

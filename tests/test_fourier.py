@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,9 +275,10 @@ class TestNoiseModel:
     def test_sup_norm_paths(self):
         # explicit value wins
         assert NoiseModel.mild(1.0, sup_norm_value=2.0).sup_norm == 2.0
-        # density-backed bound
+        # bound from the truncated density, which the model does not store
         eps = NoiseModel.mild(1.0, scale=0.1, max_freq=4)
-        assert eps.sup_norm == 1.0 + eps.density.l1_tail
+        density = FourierDensity.from_tail(eps.modulus(np.arange(1, eps.max_freq + 1)))
+        assert eps.sup_norm == 1.0 + density.l1_tail
         # severe sequence-only converges
         assert NoiseModel.severe(1.0).sup_norm == pytest.approx(
             1.0 + 2.0 * np.exp(-1) / (1 - np.exp(-1)), rel=1e-6
@@ -307,3 +310,45 @@ class TestNoiseModel:
             NoiseModel.severe(1.0, max_freq=-3)
         with pytest.raises(ValueError, match="tail is empty"):
             NoiseModel.from_density(FourierDensity.uniform())
+
+    @pytest.mark.parametrize(
+        "max_freq", [2.5, True, np.float64(3.5), np.inf],
+        ids=["fraction", "bool", "np-fraction", "inf"],
+    )
+    def test_refuses_fractional_or_boolean_max_freq(self, max_freq):
+        # 2.5 once built frequencies 1..3, and True built frequency 1
+        with pytest.raises(ValueError, match="max_freq >= 1"):
+            NoiseModel.mild(1.0, max_freq=max_freq)
+
+    @pytest.mark.parametrize(
+        "max_freq, want", [(64.0, 64), (np.int64(3), 3)], ids=["float", "np-int"]
+    )
+    def test_integral_max_freq_stored_as_int(self, max_freq, want):
+        eps = NoiseModel.mild(1.0, max_freq=max_freq)
+        assert type(eps.max_freq) is int and eps == NoiseModel.mild(1.0, max_freq=want)
+        assert eps.sup_norm == NoiseModel.mild(1.0, max_freq=want).sup_norm
+
+    def test_named_kind_refuses_a_density(self):
+        # its modulus is the named sequence, so a foreign density would be
+        # sampled while q_hat_k deconvolves another noise
+        density = FourierDensity.from_tail([0.4, 0.3])
+        for kind in ("mild", "severe"):
+            with pytest.raises(ValueError, match="takes no density"):
+                NoiseModel(kind=kind, p=1.0, density=density)
+
+    def test_explicit_max_freq_is_its_density(self):
+        eps = NoiseModel.from_density(FourierDensity.from_tail([0.3, 0.1]))
+        assert eps.max_freq == 2
+        assert dataclasses.replace(eps) == eps
+        with pytest.raises(ValueError, match="max_freq must be the density's, 2"):
+            NoiseModel(kind="explicit", density=eps.density, max_freq=3)
+
+    def test_truncation_builds_no_density(self):
+        tracemalloc.start()
+        try:
+            eps = NoiseModel.mild(1.0, max_freq=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the density array of 10^6 frequencies took 53.4 MiB to build
+        assert eps.density is None and peak < 2 ** 20

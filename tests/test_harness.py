@@ -470,7 +470,7 @@ class TestRiskExperiment:
         assert cfg.smoothness_class() == SmoothnessClass.supersmooth(1.5, radius=2.0, scale=0.5)
         eps, want = cfg.noise_model(), NoiseModel.severe(0.5, scale=0.9, max_freq=16)
         assert (eps.kind, eps.p, eps.scale) == ("severe", 0.5, 0.9)
-        assert np.array_equal(eps.density.coeffs, want.density.coeffs)
+        assert eps == want
         rows = run_risk_experiment(cfg).rows
         assert [r["scenario"] for r in rows] == ["null", "boundary", "max"]
         assert all(np.isfinite(r["risk"]) for r in rows)
@@ -1237,18 +1237,37 @@ class TestCli:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {field} ")
 
-    @pytest.mark.parametrize("command", ["rates", "simulate-risk"])
+    @pytest.mark.parametrize("command", ["rates", "simulate-risk", "test"])
     def test_noise_density_too_large_to_allocate_exit_code(self, tmp_path, command):
-        # 10^15 frequencies need 7.1 PiB, beyond any 47-bit address space,
-        # so numpy refuses the allocation at once
-        if command == "rates":
-            res = self._run("rates", "--noise-max-freq", str(10 ** 15))
-        else:
+        # 10^15 frequencies need 7.1 PiB, beyond any 47-bit address space.
+        # Only a reader of the noise's sup norm sums that many moduli, and
+        # numpy refuses the allocation at once; a command that reads the
+        # modulus alone gives the rows it gives at 64
+        def run(max_freq):
+            if command == "rates":
+                return self._run("rates", "--noise-max-freq", str(max_freq))
+            if command == "test":
+                data = tmp_path / "d.txt"
+                data.write_text("0.1\n0.2\n0.7\n")
+                return self._run("test", str(data), "--noise-max-freq", str(max_freq))
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"n_grid": [64], "noise_max_freq": 10 ** 15}))
-            res = self._run(command, "--config", str(cfg))
-        assert res.returncode == 2
-        assert res.stderr.startswith("error: Unable to allocate") and res.stderr.count("\n") == 1
+            cfg.write_text(json.dumps(
+                {"n_grid": [64], "scenarios": ["null"], "noise_max_freq": max_freq}
+            ))
+            return self._run("simulate-risk", "--config", str(cfg))
+
+        res = run(10 ** 15)
+        if command == "test":
+            assert res.returncode == 2 and res.stdout == ""
+            assert res.stderr.startswith("error: Unable to allocate")
+            assert res.stderr.count("\n") == 1
+            return
+        base = run(64)
+        assert res.returncode == 0 and base.returncode == 0, res.stderr
+        if command == "rates":
+            assert res.stdout == base.stdout
+        else:
+            assert json.loads(res.stdout)["rows"] == json.loads(base.stdout)["rows"]
 
     def test_simulate_test_refuses_unknown_scenario(self, tmp_path):
         # the test experiment never samples the scenarios, yet a config that

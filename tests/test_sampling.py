@@ -236,8 +236,9 @@ class TestSampleModel:
     def test_observed_coefficients_multiply(self):
         f = FourierDensity.from_tail([0.4])
         eps = NoiseModel.mild(1.0, scale=0.3, max_freq=2)
+        density = FourierDensity.from_tail(eps.modulus(np.arange(1, eps.max_freq + 1)))
         gen = np.random.default_rng(6)
-        y = _draw(f, 200_000, gen) + _draw(eps.density, 200_000, gen)
+        y = _draw(f, 200_000, gen) + _draw(density, 200_000, gen)
         y -= np.floor(y)
         emp = np.mean(np.exp(-2j * np.pi * y))
         assert abs(emp - 0.4 * 0.3) < 0.01
