@@ -14,6 +14,7 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -213,6 +214,17 @@ def _check_finite(model, *names):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _integer(name: str, value, low: int, integral_float: bool = True, too_low: str = "") -> int:
+    """value as an int >= low; a ValueError naming the field unless value is an
+    int (a bool is not) or, with integral_float, an integral float (64.0)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral or integral_float and isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(too_low or f"{name} must be >= {low}")
+    return int(value)
+
+
 def _power(x: float, p: int) -> float:
     """x ** p, with inf where Python's float ** raises OverflowError."""
     try:
@@ -355,10 +367,8 @@ class NoiseModel:
         _check_finite(self, "p", "sup_norm_value")
         m = self.max_freq
         if m is not None:
-            # an integral float names the same frequency (64.0 is 64); a bool names none
-            if isinstance(m, (bool, np.bool_)) or not (m >= 1 and m % 1 == 0):
-                raise ValueError(f"noise density needs an integer max_freq >= 1, got {m!r}")
-            object.__setattr__(self, "max_freq", int(m))
+            too_low = f"noise density needs max_freq >= 1, got {m!r}"
+            object.__setattr__(self, "max_freq", _integer("max_freq", m, 1, too_low=too_low))
         if self.density is not None and self.kind != "explicit":
             raise ValueError(f"{self.kind} noise takes no density: eps_j is modulus(j)")
         if self.kind == "mild":

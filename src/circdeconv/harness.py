@@ -31,6 +31,7 @@ from .fourier import (
     FourierDensity,
     NoiseModel,
     SmoothnessClass,
+    _integer,
     l1_certified,
     observed_density,
     quadratic_functional,
@@ -62,17 +63,6 @@ _MAX_N = np.iinfo(np.intp).max // (16 * _BATCH_SIZE)
 
 # the stress set of the risk experiment, as named in a config's scenarios
 _SCENARIOS = ("null", "hypercube", "two_point", "boundary")
-
-
-def _integer(name: str, value, low: int, integral_float: bool = True, too_low: str = "") -> int:
-    """value as an int >= low; a ValueError naming the field unless value is an
-    int (a bool is not) or, with integral_float, an integral float (64.0)."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integral or integral_float and isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(too_low or f"{name} must be >= {low}")
-    return int(value)
 
 
 def _n(value) -> int:

@@ -106,13 +106,12 @@ def sample_batch(
     # each candidate's row, a scalar index when there is only one
     at = idx // n if b > 1 else 0
     # the component: how many cumulative weights of its row lie at or below the pick
-    col = np.zeros(idx.size, dtype=np.min_scalar_type(cols))  # holds col + 1 <= cols
+    col = np.zeros(idx.size, dtype=np.intp)
     for c in range(cols - 1):
         col += pick >= upper[at, c]
-    del pick
     if b == 1:
         for c in np.flatnonzero(weights[0]):
-            chosen = idx if cols == 1 else idx[col == c]
+            chosen = idx[col == c]
             z = _sine_squared(gen, chosen.size)
             flat[chosen] = _component(z, gen.integers(0, c + 1, chosen.size), shift[0, c], c + 1)
         return out
